@@ -1,4 +1,4 @@
-"""Extra ablations of design choices (DESIGN.md §5), beyond the paper.
+"""Extra ablations of design choices, beyond the paper.
 
 - transfer-count search and CPU work stealing, toggled independently;
 - prefetch lookahead depth (the paper fixes 3 without ablating);

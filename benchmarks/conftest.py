@@ -2,7 +2,7 @@
 
 Every benchmark regenerates one paper artifact, prints its table to the
 terminal (so ``pytest benchmarks/ --benchmark-only | tee`` captures it)
-and persists it under ``benchmarks/results/`` for EXPERIMENTS.md.
+and persists it under ``benchmarks/results/``.
 
 ``BENCH_SCALE`` trades fidelity for wall time: layer counts are reduced
 (scheduling decisions are per-layer, so relative results are preserved;

@@ -6,7 +6,7 @@ cache retains recently used experts, and the next layer's experts are
 prefetched during the current layer's non-MoE computation using
 gate-reuse prediction. (AdapMoE's sensitivity-based adaptive gating —
 skipping low-impact experts — changes model outputs and is out of scope
-for a scheduling comparison; see DESIGN.md.)
+for a scheduling comparison.)
 """
 
 from __future__ import annotations

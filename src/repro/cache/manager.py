@@ -151,10 +151,6 @@ class ExpertCache:
             return set(bucket) if bucket else set()
         return {e for (l, e) in self.resident_keys if l == layer}
 
-    @property
-    def free_slots(self) -> int:
-        return self.capacity - len(self._resident)
-
     # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------

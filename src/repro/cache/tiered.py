@@ -87,10 +87,6 @@ class TieredCacheManager:
             expert for expert in experts if self.is_spilled((layer, expert))
         )
 
-    def dram_experts_of_layer(self, layer: int) -> set[int]:
-        """Expert ids of ``layer`` with a DRAM-resident copy."""
-        return self.cpu_tier.cached_experts_of_layer(layer)
-
     def promote_to_dram(self, key: ExpertKey) -> list[ExpertKey]:
         """Make ``key`` DRAM-resident (after a disk read has been paid).
 

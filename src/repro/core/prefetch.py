@@ -24,9 +24,11 @@ cut that down without changing a single decision at default settings:
   cannot clear ``min_gain``, the exact simulation is skipped; the
   bound is one-sided, so screening can only drop candidates the exact
   path would also have dropped.
-- *memoized simulations*: the scheduler's plan memo covers the quick
-  impact simulations, and decode steps repeat near-identical predicted
-  routing, so the surviving exact simulations are usually cache hits.
+- *memoized simulations*: each predicted layer goes through one
+  :class:`~repro.core.hybrid_scheduler.QuickLayer`, whose screening
+  and exact simulations the scheduler memoizes under relabel-invariant
+  keys. Decode steps keep predicting layers with the same load and
+  residency pattern, so most layers are cache hits.
 
 ``exact_top_m`` additionally caps how many screening survivors get the
 full simulation (best screening bound first). That is an *approximation*
@@ -130,12 +132,13 @@ class ImpactDrivenPrefetcher:
         then cost the full disk -> CPU -> GPU chain, and prefetching a
         spilled expert is charged ``disk_fetch_s`` of extra lead time.
     fast_path:
-        Screen with the scheduler's *batched* bound computation
-        (:meth:`~repro.core.hybrid_scheduler.HybridScheduler.quick_makespan_lower_bounds`),
-        which hoists the shared sorts and memoizes whole prediction
-        batches. Bounds — and therefore decisions — are bit-identical
-        either way; ``False`` keeps the per-candidate calls as a perf
-        baseline (``EngineConfig.engine_fast_path`` threads here).
+        Screen and simulate through one
+        :meth:`~repro.core.hybrid_scheduler.HybridScheduler.quick_layer`
+        per predicted layer, which validates and sorts once and
+        memoizes whole candidate batches. Bounds — and therefore
+        decisions — are bit-identical either way; ``False`` keeps the
+        per-candidate calls as a perf baseline
+        (``EngineConfig.engine_fast_path`` threads here).
     """
 
     def __init__(
@@ -197,7 +200,7 @@ class ImpactDrivenPrefetcher:
             # Decode: the `min(load, n_tokens)` cap below forces every
             # load to exactly 1, so the share apportionment is dead
             # arithmetic — skip it.
-            return [(int(e), 1) for e in top]
+            return [(e, 1) for e in top.tolist()]
         total_slots = prediction.n_tokens * k
         weights = scores[top]
         weight_sum = float(weights.sum())
@@ -208,7 +211,7 @@ class ImpactDrivenPrefetcher:
         loads = np.maximum(1, np.round(shares * total_slots).astype(int))
         # Cap at n_tokens: an expert cannot receive more tokens than exist.
         loads = np.minimum(loads, prediction.n_tokens)
-        return [(int(e), int(load)) for e, load in zip(top, loads)]
+        return list(zip(top.tolist(), loads.tolist()))
 
     def evaluate_candidates(
         self, predictions: list[PredictedLayer], current_layer: int
@@ -221,7 +224,8 @@ class ImpactDrivenPrefetcher:
         that value instead — and is the only kind admitted *beyond*
         ``lookahead`` (predictor-earned lead time).
         """
-        prepared: list[tuple[PredictedLayer, int, list, set, list]] = []
+        decisions: list[PrefetchDecision] = []
+        transfer_s = None  # the estimated transfer time, asked once
         for prediction in predictions:
             distance = prediction.layer - current_layer
             if distance < 1:
@@ -233,37 +237,18 @@ class ImpactDrivenPrefetcher:
             candidates = [e for e, _ in activated if e not in cached]
             if not candidates:
                 continue
-            prepared.append((prediction, distance, activated, cached, candidates))
-        if not prepared:
-            return []
-        screens = None
-        if self.fast_path:
-            # Bases and screening bounds for *every* predicted layer
-            # from one batched, memoized pass — the separate
-            # per-prediction base simulation and per-candidate bound
-            # calls repeat the same input validation and sorts. Floats
-            # are bit-identical to the per-layer calls.
-            screens = self.scheduler.screen_prediction_batch(
-                [
-                    (
-                        activated,
-                        cached,
-                        prediction.n_tokens,
-                        candidates if self.delta_screen else [],
-                        prediction.spilled_experts,
-                    )
-                    for prediction, _, activated, cached, candidates in prepared
-                ],
-                disk_fetch_s=self.disk_fetch_s,
-            )
-        decisions: list[PrefetchDecision] = []
-        for index, (prediction, distance, activated, cached, candidates) in enumerate(
-            prepared
-        ):
             spilled = prediction.spilled_experts
             bounds = None
-            if screens is not None:
-                base, bounds = screens[index]
+            quick = None
+            if self.fast_path:
+                # One validated, load-ranked handle per predicted layer
+                # answers both the screening pass and the survivors'
+                # exact simulations, memoized; floats are bit-identical
+                # to the per-call path below.
+                quick = self.scheduler.quick_layer(
+                    activated, cached, prediction.n_tokens, spilled, self.disk_fetch_s
+                )
+                base, bounds = quick.screen(candidates if self.delta_screen else [])
             else:
                 base = self.scheduler.simulate_makespan(
                     activated, cached, prediction.n_tokens, quick=True,
@@ -278,14 +263,8 @@ class ImpactDrivenPrefetcher:
                 prediction.n_tokens, spilled, bounds=bounds,
             )
             with_makespans = None
-            if self.fast_path and survivors:
-                # One batched call hoists the shared sorts/validation
-                # and memoizes the whole survivor set; values are
-                # bit-identical to the per-expert simulations below.
-                with_makespans = self.scheduler.quick_makespans_with(
-                    activated, cached, prediction.n_tokens, survivors,
-                    spilled=spilled, disk_fetch_s=self.disk_fetch_s,
-                )
+            if quick is not None and survivors:
+                with_makespans = quick.makespans_with(survivors)
             for expert in survivors:
                 # Simulating `expert` as cached: its own spill state is
                 # moot (the scheduler intersects spilled with uncached),
@@ -299,7 +278,9 @@ class ImpactDrivenPrefetcher:
                     )
                 gain = (base - with_expert) * confidence
                 if gain > self.min_gain:
-                    cost = self.transfer_time_fn()
+                    if transfer_s is None:
+                        transfer_s = self.transfer_time_fn()
+                    cost = transfer_s
                     if expert in spilled:
                         # A spilled expert rides the disk link first —
                         # more lead time and more budget consumed.
@@ -337,16 +318,11 @@ class ImpactDrivenPrefetcher:
         surviving set yields bit-identical decisions. ``exact_top_m``
         then optionally caps the survivors (approximation, off by
         default). ``bounds`` supplies precomputed screening bounds
-        (:meth:`~repro.core.hybrid_scheduler.HybridScheduler.quick_screen`);
-        otherwise they are fetched here.
+        (:meth:`~repro.core.hybrid_scheduler.QuickLayer.screen`);
+        otherwise each is computed per candidate.
         """
         if not self.delta_screen:
             return list(candidates)
-        if bounds is None and self.fast_path:
-            bounds = self.scheduler.quick_makespan_lower_bounds(
-                activated, cached, n_tokens, candidates,
-                spilled=spilled, disk_fetch_s=self.disk_fetch_s,
-            )
         scored: list[tuple[float, int]] = []
         for expert in candidates:
             if bounds is not None:

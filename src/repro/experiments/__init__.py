@@ -4,7 +4,8 @@ Each public function in :mod:`repro.experiments.figures` corresponds to
 one artifact of the paper's evaluation (Fig. 3a-f, Fig. 7, Fig. 8,
 Fig. 9, Table III) and returns plain row dictionaries;
 :mod:`repro.experiments.reporting` renders them as the tables the
-benchmark harness prints and EXPERIMENTS.md records.
+benchmark harness prints (see "Running the benchmark suite locally" in
+docs/BENCHMARKS.md).
 """
 
 from repro.experiments.figures import (

@@ -7,7 +7,7 @@ Every function returns a list of flat row dictionaries ready for
 reduction preserves per-layer behaviour (scheduling decisions are
 per-layer); it only shortens the pipeline.
 
-Experiment index (see DESIGN.md §4):
+Experiment index (the paper-to-code map is in docs/ARCHITECTURE.md):
 
 =========  ==========================================================
 fig3a      activation CDF, experts vs synthetic skewed neurons
@@ -502,7 +502,7 @@ def table3_ablation(
 
 
 # ----------------------------------------------------------------------
-# Extra ablations (DESIGN.md §5) — design choices beyond the paper's
+# Extra ablations — design choices beyond the paper's
 # ----------------------------------------------------------------------
 def ablation_scheduler_variants(
     model_name: str = "deepseek",

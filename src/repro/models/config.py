@@ -116,10 +116,6 @@ class MoEModelConfig:
     def has_shared_experts(self) -> bool:
         return self.num_shared_experts > 0
 
-    def routed_expert_params(self) -> int:
-        """Parameters of a single routed expert."""
-        return self.routed_expert_shape.param_count
-
     def total_expert_params(self) -> int:
         """Parameters of all experts (routed + shared) across all layers."""
         routed = self.total_routed_experts * self.routed_expert_shape.param_count
