@@ -1,19 +1,21 @@
-"""Planner fast-path perf harness with a tracked trajectory (PR 3).
+"""Planner perf harness with a tracked trajectory.
 
-Measures the planner three ways and writes ``BENCH_planner.json`` at
-the repo root so the perf trajectory is tracked across PRs:
+Measures the planner and the engine and writes ``BENCH_planner.json``
+at the repo root so the perf trajectory is tracked across changes:
 
 1. **Planner-only latency** on four shapes: ``decode_micro`` — the
    ``bench_scheduler_micro`` steady-state decode shape (one
    decode-sized problem replanned every iteration; the >=5x acceptance
    floor is defined on it) — plus realistic call streams, where a
    short engine run (decode / prefill / 2-GPU decode) records every
-   ``plan()``/``simulate_makespan()`` invocation the step pipeline and
-   prefetcher actually issue. Each stream is replayed against fresh
-   schedulers in three configurations:
+   ``plan()`` invocation the step pipeline issues. The streams cover
+   ``plan()`` only: the prefetcher plans through
+   ``HybridScheduler.quick_layer``, whose cost ``perfbench``'s
+   ``prefetch.select.s`` measures. Each stream is replayed against
+   fresh schedulers in three configurations:
 
    - ``reference``: the from-scratch event simulator, no memo (the
-     pre-PR-3 planner);
+     test oracle ``tests/core/reference_planner.py``);
    - ``fast_cold``: incremental search, memo disabled (isolates the
      search restructuring);
    - ``fast``: incremental search + plan memo (the default planner).
@@ -21,16 +23,16 @@ the repo root so the perf trajectory is tracked across PRs:
    Plans are bit-identical across all three (property-tested), so the
    streams are path-independent and the comparison is pure latency.
 
-2. **End-to-end steps/sec** of a decode run under the fast vs the
-   reference planner, and — since schema 2 — of the engine fast path
-   (``EngineConfig.engine_fast_path``) vs the reference engine core on
-   a long-decode cache-pressured scenario, best-of-N interleaved.
+2. **End-to-end steps/sec** of a decode run under the default vs the
+   reference planner, and the engine's absolute decode rate on a
+   long-decode cache-pressured scenario, best of N trials.
 
 3. A ``--check`` mode for CI: compares measured speedups against the
-   committed ``BENCH_planner.json`` and fails on a >2x regression (or
-   on missing the 5x decode floor, or on the engine fast path falling
-   >2x below the reference engine core), so perf regressions are
-   caught at review time. Intentional trade-offs skip the gate via the
+   committed ``BENCH_planner.json`` and fails on a >2x regression, on
+   missing the 5x decode floor, or on the engine's decode rate falling
+   >2x below the committed one (the engine scenario is the same in
+   smoke and full runs), so perf regressions are caught at review
+   time. Intentional trade-offs skip the gate via the
    ``perf-regression-ok`` PR label (see ``.github/workflows/ci.yml``).
 
 Usage::
@@ -50,6 +52,9 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT / "tests" / "core"))
+
+from reference_planner import ReferenceScheduler, use_reference_planner  # noqa: E402
 
 from repro.core.hybrid_scheduler import HybridScheduler, SchedulerConfig  # noqa: E402
 from repro.engine.engine import EngineConfig  # noqa: E402
@@ -61,8 +66,20 @@ BASELINE_PATH = REPO_ROOT / "BENCH_planner.json"
 #: Acceptance floor: fast-path decode planner latency must beat the
 #: reference path by at least this factor (ISSUE 3 criterion).
 DECODE_SPEEDUP_FLOOR = 5.0
-#: CI gate: fail when a measured speedup drops below committed/2.
+#: CI gate: fail when a measured speedup (or the engine's decode rate)
+#: drops below committed/2.
 REGRESSION_FACTOR = 2.0
+
+#: The engine trajectory scenario, identical in smoke and full runs so
+#: CI compares like with like against the committed number.
+ENGINE_SCENARIO = {
+    "model": "deepseek",
+    "strategy": "hybrimoe",
+    "num_layers": 8,
+    "cache_ratio": 0.75,
+    "decode_steps": 512,
+    "trials": 3,
+}
 
 
 # ----------------------------------------------------------------------
@@ -70,25 +87,20 @@ REGRESSION_FACTOR = 2.0
 # ----------------------------------------------------------------------
 
 def _record_stream(engine, run) -> list[tuple[str, tuple, dict]]:
-    """Capture every planner invocation a real engine run performs."""
+    """Capture every ``plan()`` call a real engine run performs."""
     scheduler = engine.runtime.scheduler
     stream: list[tuple[str, tuple, dict]] = []
-    original = {"plan": scheduler.plan, "simulate_makespan": scheduler.simulate_makespan}
+    plan = scheduler.plan
 
-    def recorder(kind):
-        def wrapped(*args, **kwargs):
-            stream.append((kind, args, kwargs))
-            return original[kind](*args, **kwargs)
+    def recorder(*args, **kwargs):
+        stream.append(("plan", args, kwargs))
+        return plan(*args, **kwargs)
 
-        return wrapped
-
-    scheduler.plan = recorder("plan")
-    scheduler.simulate_makespan = recorder("simulate_makespan")
+    scheduler.plan = recorder
     try:
         run(engine)
     finally:
-        scheduler.plan = original["plan"]
-        scheduler.simulate_makespan = original["simulate_makespan"]
+        scheduler.plan = plan
     return stream
 
 
@@ -151,14 +163,16 @@ def _shape_streams(smoke: bool) -> dict[str, list[tuple[str, tuple, dict]]]:
 # replay timing
 # ----------------------------------------------------------------------
 
-_PLANNER_CONFIGS = {
-    "reference": SchedulerConfig(fast_path=False, plan_cache_size=0),
-    "fast_cold": SchedulerConfig(fast_path=True, plan_cache_size=0),
-    "fast": SchedulerConfig(fast_path=True),
+_PLANNERS = {
+    "reference": ReferenceScheduler,
+    "fast_cold": lambda factory: HybridScheduler(
+        factory, SchedulerConfig(plan_cache_size=0)
+    ),
+    "fast": HybridScheduler,
 }
 
 
-def _time_stream(stream, oracle_factory, config: SchedulerConfig, reps: int) -> float:
+def _time_stream(stream, oracle_factory, make_planner, reps: int) -> float:
     """Best-of-``reps`` seconds for one full pass over the stream.
 
     A fresh scheduler per pass: memo warm-up happens *inside* the
@@ -166,7 +180,7 @@ def _time_stream(stream, oracle_factory, config: SchedulerConfig, reps: int) -> 
     """
     best = float("inf")
     for _ in range(reps):
-        scheduler = HybridScheduler(oracle_factory, config)
+        scheduler = make_planner(oracle_factory)
         start = time.perf_counter()
         for kind, args, kwargs in stream:
             getattr(scheduler, kind)(*args, **kwargs)
@@ -181,8 +195,8 @@ def _bench_planner(smoke: bool) -> dict:
     results: dict[str, dict] = {}
     for shape, stream in _shape_streams(smoke).items():
         timings = {
-            name: _time_stream(stream, oracle_factory, config, reps)
-            for name, config in _PLANNER_CONFIGS.items()
+            name: _time_stream(stream, oracle_factory, make_planner, reps)
+            for name, make_planner in _PLANNERS.items()
         }
         calls = len(stream)
         results[shape] = {
@@ -197,72 +211,52 @@ def _bench_planner(smoke: bool) -> dict:
 
 
 def _bench_end_to_end(smoke: bool) -> dict:
-    """Two end-to-end decode comparisons.
+    """Two end-to-end decode measurements.
 
-    - **Planner**: fast vs reference *planner* (both on the default
-      engine core) — the PR-3 measurement, scenario unchanged.
-    - **Engine**: fast vs reference *engine core*, both on the fast
-      planner, so the ratio isolates the engine fast path (vectorized
-      step pipeline, record-free batched execution, event-heap clock,
-      indexed cache). The full scenario is long-decode and
-      cache-pressured — the regime the reference core's linear
-      interval scans and per-candidate victim ranking scale worst in —
-      and times are best-of-``trials`` (interleaved) to damp machine
-      noise.
+    - **Planner**: default vs reference *planner* on the same engine —
+      the reference swapped in by ``use_reference_planner``.
+    - **Engine**: the engine's decode rate on a long-decode,
+      cache-pressured scenario (:data:`ENGINE_SCENARIO`), best of
+      ``trials`` runs to damp machine noise. There is no second engine
+      core to take a ratio against, so this is an absolute number,
+      gated against the committed one.
     """
     decode_steps = 8 if smoke else 32
     timings = {}
-    for name, fast in (("reference", False), ("fast", True)):
+    for name in ("reference", "fast"):
         engine = make_engine(
             model="deepseek",
             strategy="hybrimoe",
             cache_ratio=0.25,
             num_layers=4,
             seed=0,
-            planner_fast_path=fast,
         )
+        if name == "reference":
+            use_reference_planner(engine)
         start = time.perf_counter()
         engine.decode_only(decode_steps)
         timings[name] = time.perf_counter() - start
 
-    scenario = {
-        "model": "deepseek",
-        "strategy": "hybrimoe",
-        "num_layers": 4 if smoke else 8,
-        "cache_ratio": 0.5 if smoke else 0.75,
-        "decode_steps": 32 if smoke else 512,
-        "trials": 2 if smoke else 3,
-    }
-    engine_best = {"baseline": float("inf"), "engine_fast": float("inf")}
+    scenario = ENGINE_SCENARIO
+    engine_best = float("inf")
     for _ in range(scenario["trials"]):
-        for name, engine_fast in (("engine_fast", True), ("baseline", False)):
-            engine = make_engine(
-                model=scenario["model"],
-                strategy=scenario["strategy"],
-                cache_ratio=scenario["cache_ratio"],
-                num_layers=scenario["num_layers"],
-                seed=0,
-                planner_fast_path=True,
-                engine_fast_path=engine_fast,
-            )
-            start = time.perf_counter()
-            engine.decode_only(scenario["decode_steps"])
-            engine_best[name] = min(
-                engine_best[name], time.perf_counter() - start
-            )
-    engine_steps = scenario["decode_steps"]
+        engine = make_engine(
+            model=scenario["model"],
+            strategy=scenario["strategy"],
+            cache_ratio=scenario["cache_ratio"],
+            num_layers=scenario["num_layers"],
+            seed=0,
+        )
+        start = time.perf_counter()
+        engine.decode_only(scenario["decode_steps"])
+        engine_best = min(engine_best, time.perf_counter() - start)
     return {
         "decode_steps": decode_steps,
         "reference_steps_per_s": decode_steps / timings["reference"],
         "fast_steps_per_s": decode_steps / timings["fast"],
         "speedup": timings["reference"] / timings["fast"],
-        "engine_fast_steps_per_s": engine_steps / engine_best["engine_fast"],
-        "engine": {
-            "scenario": scenario,
-            "baseline_steps_per_s": engine_steps / engine_best["baseline"],
-            "engine_fast_steps_per_s": engine_steps / engine_best["engine_fast"],
-            "speedup": engine_best["baseline"] / engine_best["engine_fast"],
-        },
+        "engine_fast_steps_per_s": scenario["decode_steps"] / engine_best,
+        "engine_scenario": dict(scenario),
     }
 
 
@@ -272,7 +266,7 @@ def _bench_end_to_end(smoke: bool) -> dict:
 
 def run(smoke: bool) -> dict:
     return {
-        "schema": 2,
+        "schema": 3,
         "mode": "smoke" if smoke else "full",
         "criteria": {
             "decode_speedup_floor": DECODE_SPEEDUP_FLOOR,
@@ -316,32 +310,24 @@ def check(current: dict, baseline: dict | None) -> list[str]:
                 f"end-to-end: fast planner is now slower than reference "
                 f"({current_e2e:.2f}x, committed {committed_e2e:.2f}x)"
             )
-    # Engine fast-path gate (schema >= 2). The absolute floor holds at
-    # any scenario size: the fast engine core falling >REGRESSION_FACTOR
-    # below the reference core is a regression regardless of scale. The
-    # baseline comparison only fires when the scenarios match (CI smoke
-    # runs a smaller scenario than the committed full baseline).
-    engine_row = current["end_to_end"].get("engine")
-    if engine_row is not None:
-        if engine_row["speedup"] < 1.0 / REGRESSION_FACTOR:
-            failures.append(
-                f"end-to-end: engine fast path is >{REGRESSION_FACTOR:.0f}x "
-                f"slower than the reference engine core "
-                f"({engine_row['speedup']:.2f}x)"
-            )
-        committed_engine = baseline.get("end_to_end", {}).get("engine")
-        if (
-            committed_engine is not None
-            and engine_row["scenario"] == committed_engine.get("scenario")
-        ):
-            floor = committed_engine["speedup"] / REGRESSION_FACTOR
-            if engine_row["speedup"] < floor:
-                failures.append(
-                    f"end-to-end: engine fast-path speedup "
-                    f"{engine_row['speedup']:.1f}x regressed "
-                    f">{REGRESSION_FACTOR:.0f}x vs committed "
-                    f"{committed_engine['speedup']:.1f}x (floor {floor:.1f}x)"
-                )
+    # Engine trajectory gate (schema >= 3): the absolute decode rate
+    # against the committed one, which must come from the same scenario.
+    committed_row = baseline.get("end_to_end", {})
+    if current["end_to_end"]["engine_scenario"] != committed_row.get("engine_scenario"):
+        failures.append(
+            "end-to-end: the engine scenario differs from the committed one; "
+            "re-record BENCH_planner.json with a full run"
+        )
+        return failures
+    current_rate = current["end_to_end"]["engine_fast_steps_per_s"]
+    committed_rate = committed_row["engine_fast_steps_per_s"]
+    floor = committed_rate / REGRESSION_FACTOR
+    if current_rate < floor:
+        failures.append(
+            f"end-to-end: engine decode rate {current_rate:.1f} steps/s "
+            f"regressed >{REGRESSION_FACTOR:.0f}x vs committed "
+            f"{committed_rate:.1f} steps/s (floor {floor:.1f})"
+        )
     return failures
 
 
@@ -383,14 +369,11 @@ def main(argv=None) -> int:
         f"  end-to-end decode: ref {e2e['reference_steps_per_s']:.1f} steps/s, "
         f"fast {e2e['fast_steps_per_s']:.1f} steps/s ({e2e['speedup']:.2f}x)"
     )
-    engine = e2e["engine"]
-    scenario = engine["scenario"]
+    scenario = e2e["engine_scenario"]
     print(
-        f"  engine fast path (L{scenario['num_layers']} "
-        f"r{scenario['cache_ratio']} x{scenario['decode_steps']}): "
-        f"base {engine['baseline_steps_per_s']:.1f} steps/s, "
-        f"fast {engine['engine_fast_steps_per_s']:.1f} steps/s "
-        f"({engine['speedup']:.2f}x)"
+        f"  engine (L{scenario['num_layers']} r{scenario['cache_ratio']} "
+        f"x{scenario['decode_steps']}, best of {scenario['trials']}): "
+        f"{e2e['engine_fast_steps_per_s']:.1f} steps/s"
     )
     print(f"wrote {args.out}")
 

@@ -97,22 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=available_placements(),
         help="expert-placement policy of the sharded cache",
     )
-    run.add_argument(
-        "--planner",
-        default="fast",
-        choices=["fast", "reference"],
-        help="planner implementation (plans are bit-identical; "
-        "'reference' is the pre-fast-path planner — from-scratch "
-        "simulation, no memo — for perf baselines)",
-    )
-    run.add_argument(
-        "--engine",
-        default="fast",
-        choices=["fast", "reference"],
-        help="engine-core implementation (outputs are bit-identical; "
-        "'reference' is the pre-fast-path engine loop — per-task "
-        "records, rescanning frontiers — for perf baselines)",
-    )
     _add_tiered_memory_args(run)
     _add_predictor_args(run)
 
@@ -242,22 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="round_robin",
         choices=available_placements(),
         help="expert-placement policy of the sharded cache",
-    )
-    serve.add_argument(
-        "--planner",
-        default="fast",
-        choices=["fast", "reference"],
-        help="planner implementation (plans are bit-identical; "
-        "'reference' is the pre-fast-path planner — from-scratch "
-        "simulation, no memo — for perf baselines)",
-    )
-    serve.add_argument(
-        "--engine",
-        default="fast",
-        choices=["fast", "reference"],
-        help="engine-core implementation (outputs are bit-identical; "
-        "'reference' is the pre-fast-path engine loop — per-task "
-        "records, rescanning frontiers — for perf baselines)",
     )
     _add_tiered_memory_args(serve)
     _add_predictor_args(serve)
@@ -427,8 +395,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         seed=args.seed,
         num_gpus=args.num_gpus,
         placement=args.placement,
-        planner_fast_path=args.planner == "fast",
-        engine_fast_path=args.engine == "fast",
         cpu_cache_capacity=args.cpu_cache_capacity,
         cpu_cache_policy=args.cpu_cache_policy,
         disk_bandwidth=args.disk_bandwidth,
@@ -593,8 +559,6 @@ def _cmd_serve_fleet(args: argparse.Namespace) -> int:
         seed=args.seed,
         num_gpus=args.num_gpus,
         placement=args.placement,
-        planner_fast_path=args.planner == "fast",
-        engine_fast_path=args.engine == "fast",
         cpu_cache_capacity=args.cpu_cache_capacity,
         cpu_cache_policy=args.cpu_cache_policy,
         disk_bandwidth=args.disk_bandwidth,
@@ -677,8 +641,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         seed=args.seed,
         num_gpus=args.num_gpus,
         placement=args.placement,
-        planner_fast_path=args.planner == "fast",
-        engine_fast_path=args.engine == "fast",
         cpu_cache_capacity=args.cpu_cache_capacity,
         cpu_cache_policy=args.cpu_cache_policy,
         disk_bandwidth=args.disk_bandwidth,

@@ -21,7 +21,7 @@ Dependencies honoured:
 :class:`TaskRecord` materialization is **opt-out**: records feed tests,
 debug reporting and post-hoc analysis, never the timeline state itself
 (every ``reserve`` carries the same label and duration either way), so
-the engine's fast path executes plans with ``collect_records=False`` and
+the engine's step pipeline executes plans with ``collect_records=False`` and
 skips both the per-task record objects and the per-layer copy of the
 in-flight arrivals map (replaced by a write-local/read-through overlay —
 the same lookups, no bulk copy).
@@ -124,7 +124,7 @@ def execute_plan(
     collect_records:
         Materialize a :class:`TaskRecord` per operation. Timelines,
         arrivals and the returned end times are identical either way;
-        ``False`` (the engine fast path) skips record objects and the
+        ``False`` (the engine's step pipeline) skips record objects and the
         bulk copy of ``external_arrivals``.
 
     Returns

@@ -17,35 +17,30 @@ resolves it exactly as the paper describes — an event-driven simulation
 fills the three timelines for each candidate allocation, and the
 allocation with the smallest simulated makespan wins.
 
-Two search implementations produce **bit-identical plans**:
-
-- the *reference* simulator (:meth:`HybridScheduler._simulate`) builds
-  all three timelines from scratch for every candidate transfer count —
-  the paper's description taken literally;
-- the *fast path* (default, ``SchedulerConfig.fast_path``) ranks the
-  experts in ``(-load, id)`` order — the order every priority sort and
-  tie-break of the simulation agrees with — hoists the sorts, the
-  per-expert durations and the PCIe arrival prefix out of the
-  per-candidate loop, evaluates each candidate with a record-free
-  replica of the event loop on ranks (same float operations in the
-  same order, so the argmin cannot drift), and prunes candidates whose
-  makespan lower bound provably cannot beat the incumbent — the
-  transfer-chain bound is monotone in ``k``, so once it crosses the
-  incumbent the whole remaining ascending search terminates. For a
-  plan, the loop also logs each candidate's GPU order, CPU order and
-  steals, and the winner's log becomes the plan.
+The search is incremental. It ranks the experts in ``(-load, id)``
+order — the order every priority sort and tie-break of the simulation
+agrees with — hoists the sorts, the per-expert durations and the PCIe
+arrival prefix out of the per-candidate loop, evaluates each candidate
+with a record-free event loop on ranks, and prunes candidates whose
+makespan lower bound provably cannot beat the incumbent — the
+transfer-chain bound is monotone in ``k``, so once it crosses the
+incumbent the whole remaining ascending search terminates. For a plan,
+the loop also logs each candidate's GPU order, CPU order and steals,
+and the winner's log becomes the plan. Its plans and makespans are
+bit-identical to a from-scratch simulation of every candidate — the
+paper's description taken literally — which the test suite keeps as
+its oracle (``tests/core/reference_planner.py``) and compares against
+in property tests.
 
 On a **tiered-memory platform** (capacity-limited host DRAM over disk
 spill) the planner additionally receives the layer's *spilled* expert
 set and the estimated per-expert disk -> DRAM read time. A spilled
 expert pays that read before either use: its PCIe transfer chain grows
 by one disk hop (disk -> CPU -> GPU) and its CPU-fallback compute is
-delayed by the same fetch. Both search paths apply the surcharge with
-identical float operations, so fast-vs-reference bit-identity is
-preserved; with an empty spilled set (the default two-tier platform)
-every duration is byte-for-byte the historical one.
+delayed by the same fetch. With an empty spilled set (the default
+two-tier platform) every duration is byte-for-byte the historical one.
 
-On top of either path sit two bounded LRU memos, each holding up to
+On top of the search sit two bounded LRU memos, each holding up to
 ``plan_cache_size`` entries, so the plans' low hit rate under batched
 load cannot push out the screening entries:
 
@@ -93,12 +88,10 @@ __all__ = [
     "SchedulerConfig",
     "HybridScheduler",
     "QuickLayer",
-    "SimulatedTask",
-    "SimulationResult",
 ]
 
 #: Strict-improvement tolerance of the allocation argmin (shared by the
-#: reference loop, the fast path and its lower-bound pruning).
+#: search and its lower-bound pruning).
 _TIE_EPS = 1e-15
 
 
@@ -126,12 +119,6 @@ class SchedulerConfig:
         dyadic subsampling, always including both extremes; widening
         the width only ever *adds* candidates, so a wider search can
         never pick a worse makespan). ``None`` means exhaustive.
-    fast_path:
-        Use the incremental search (hoisted sorts and durations,
-        lower-bound pruning, plans from the winner's event log). Plans are
-        bit-identical to the reference simulator's — property-tested —
-        so this is purely a latency knob; False forces the reference
-        path for oracle comparisons and perf baselines.
     plan_cache_size:
         Entries of each of the two bounded LRU memos: plans, and quick
         screening simulations (see module docs). ``0`` disables
@@ -142,7 +129,6 @@ class SchedulerConfig:
     allow_cpu_steal: bool = True
     steal_margin: float = 0.0
     max_search_width: int | None = None
-    fast_path: bool = True
     plan_cache_size: int = 1024
 
     def __post_init__(self) -> None:
@@ -159,27 +145,6 @@ class SchedulerConfig:
                 f"plan_cache_size must be non-negative, got {self.plan_cache_size}"
             )
 
-
-@dataclass(frozen=True)
-class SimulatedTask:
-    """One simulated operation with its timeline placement."""
-
-    expert: int
-    start: float
-    finish: float
-    resource: str
-
-
-@dataclass
-class SimulationResult:
-    """Outcome of one schedule simulation (one transfer allocation)."""
-
-    makespan: float
-    transfers: list[int]
-    gpu_order: list[SimulatedTask]
-    cpu_order: list[SimulatedTask]
-    stolen: list[int]
-    loads: dict[int, int]
 
 
 class _DurationTable:
@@ -333,7 +298,10 @@ class QuickLayer:
     def screen(self, candidates: list[int]) -> tuple[float, dict[int, float]]:
         """Base quick makespan plus one screening bound per candidate.
 
-        See :meth:`HybridScheduler.quick_screen`.
+        ``base`` is the two-extremes makespan of the layer as given
+        (zero backlogs, no inflight); the bounds are :meth:`_bound` per
+        candidate, each provably ``<=`` the quick makespan with that
+        candidate cached. One ``"qs"`` memo entry holds the pair.
         """
         mask, outside = self._queried(candidates)
         base, by_rank, outside_value = self._memoized(
@@ -343,10 +311,7 @@ class QuickLayer:
         return base, self._by_caller(candidates, by_rank, outside_value)
 
     def lower_bounds(self, candidates: list[int]) -> dict[int, float]:
-        """Screening bounds only.
-
-        See :meth:`HybridScheduler.quick_makespan_lower_bounds`.
-        """
+        """Screening bounds only, one ``"qb"`` memo entry."""
         mask, outside = self._queried(candidates)
         entry = self._memoized(
             ("qb", mask, outside, self._signature),
@@ -355,9 +320,12 @@ class QuickLayer:
         return self._by_caller(candidates, *entry)
 
     def makespans_with(self, experts: list[int]) -> dict[int, float]:
-        """Quick makespan with each expert cached.
+        """Quick makespan with each expert cached, one ``"qw"`` memo entry.
 
-        See :meth:`HybridScheduler.quick_makespans_with`.
+        Each expert's uncached / cached / CPU-job orders are stable
+        filters of the layer's sorted lists — order-preserving, so the
+        search walks the same floats in the same order as a from-scratch
+        simulation of the layer with that expert cached.
         """
         mask, outside = self._queried(experts)
         entry = self._memoized(
@@ -493,7 +461,7 @@ class HybridScheduler:
         Callable ``(n_tokens) -> LayerCostOracle`` giving *estimated*
         durations (typically a warmup-fitted cost model). The planner
         never sees actual execution times. Must be deterministic per
-        ``n_tokens`` when memoization or the fast path is enabled.
+        ``n_tokens`` (durations are tabulated per ``n_tokens``).
     config:
         Search and stealing behaviour.
     """
@@ -582,43 +550,22 @@ class HybridScheduler:
         hit = self._memo_get(self._plan_memo, key)
         if hit is not None:
             return hit.clone()
-        oracle = self._oracle_factory(n_tokens)
-        if self.config.fast_path:
-            loads, inflight_eff, spilled_eff = self._validated_inputs(
-                activated, cached_experts, pcie_backlog, cpu_backlog, inflight,
-                spilled, disk_fetch_s,
-            )
-            _, makespan, orders = self._search_fast(
-                loads,
-                cached_experts,
-                oracle,
-                pcie_backlog,
-                include_shared,
-                inflight_eff,
-                cpu_backlog,
-                spilled=spilled_eff,
-                disk_fetch_s=disk_fetch_s,
-                record=True,
-            )
-        else:
-            best = self._best_simulation(
-                activated,
-                cached_experts,
-                oracle,
-                pcie_backlog,
-                include_shared,
-                inflight,
-                cpu_backlog=cpu_backlog,
-                spilled=spilled,
-                disk_fetch_s=disk_fetch_s,
-            )
-            loads, makespan = best.loads, best.makespan
-            orders = (
-                best.transfers,
-                [task.expert for task in best.gpu_order],
-                [task.expert for task in best.cpu_order],
-                best.stolen,
-            )
+        loads, inflight_eff, spilled_eff = self._validated_inputs(
+            activated, cached_experts, pcie_backlog, cpu_backlog, inflight,
+            spilled, disk_fetch_s,
+        )
+        _, makespan, orders = self._search(
+            loads,
+            cached_experts,
+            n_tokens,
+            pcie_backlog,
+            include_shared,
+            inflight_eff,
+            cpu_backlog,
+            spilled=spilled_eff,
+            disk_fetch_s=disk_fetch_s,
+            record=True,
+        )
         plan = self._materialise(
             layer, n_tokens, loads, *orders, makespan, include_shared
         )
@@ -662,34 +609,18 @@ class HybridScheduler:
         hit = self._memo_get(self._screen_memo, key)
         if hit is not None:
             return hit
-        oracle = self._oracle_factory(n_tokens)
-        if self.config.fast_path:
-            _, makespan, _ = self._search_fast(
-                loads,
-                cached_experts,
-                oracle,
-                pcie_backlog,
-                include_shared,
-                inflight_eff,
-                cpu_backlog,
-                force_quick=quick,
-                spilled=spilled_eff,
-                disk_fetch_s=disk_fetch_s,
-            )
-        else:
-            best = self._best_simulation(
-                activated,
-                cached_experts,
-                oracle,
-                pcie_backlog,
-                include_shared,
-                inflight,
-                force_quick=quick,
-                cpu_backlog=cpu_backlog,
-                spilled=spilled,
-                disk_fetch_s=disk_fetch_s,
-            )
-            makespan = best.makespan
+        _, makespan, _ = self._search(
+            loads,
+            cached_experts,
+            n_tokens,
+            pcie_backlog,
+            include_shared,
+            inflight_eff,
+            cpu_backlog,
+            force_quick=quick,
+            spilled=spilled_eff,
+            disk_fetch_s=disk_fetch_s,
+        )
         self._memo_put(self._screen_memo, key, makespan)
         return makespan
 
@@ -711,118 +642,6 @@ class HybridScheduler:
         :meth:`plan`'s conventions with zero backlogs and no inflight.
         """
         return QuickLayer(self, activated, cached_experts, n_tokens, spilled, disk_fetch_s)
-
-    def quick_makespan_lower_bound(
-        self,
-        activated: list[tuple[int, int]],
-        cached_experts: set[int],
-        n_tokens: int,
-        spilled: frozenset[int] | set[int] | None = None,
-        disk_fetch_s: float = 0.0,
-    ) -> float:
-        """Cheap lower bound on the quick (two-extremes) makespan.
-
-        Used by the impact-driven prefetcher to *screen* candidates:
-        the bound is provably ``<=`` the value
-        :meth:`simulate_makespan` with ``quick=True`` (and zero
-        backlogs) would return, built from the same duration floats the
-        simulation would use, so screening on it can never change an
-        exact decision. Spilled experts carry their disk-fetch
-        surcharge on both branches, mirroring the simulation exactly.
-        Not memoized (the per-candidate baseline of the batched calls).
-        """
-        layer = self.quick_layer(activated, cached_experts, n_tokens, spilled, disk_fetch_s)
-        return layer._bound(None)
-
-    def quick_makespan_lower_bounds(
-        self,
-        activated: list[tuple[int, int]],
-        cached_experts: set[int],
-        n_tokens: int,
-        candidates: list[int],
-        spilled: frozenset[int] | set[int] | None = None,
-        disk_fetch_s: float = 0.0,
-    ) -> dict[int, float]:
-        """Batched :meth:`quick_makespan_lower_bound` over candidates.
-
-        Returns, per candidate ``e``, the exact float
-        ``quick_makespan_lower_bound(activated, cached_experts | {e},
-        n_tokens, ...)`` would produce. Filtering one expert from a
-        sorted list is order-preserving, so each candidate's walks add
-        the same floats in the same order as the per-call method
-        (test-enforced); the batch memoizes as one ``"qb"`` entry.
-        """
-        layer = self.quick_layer(activated, cached_experts, n_tokens, spilled, disk_fetch_s)
-        return layer.lower_bounds(candidates)
-
-    def screen_prediction_batch(
-        self,
-        items: list[tuple],
-        disk_fetch_s: float = 0.0,
-    ) -> list[tuple[float, dict[int, float]]]:
-        """:meth:`quick_screen` over a whole prediction window at once.
-
-        ``items`` holds one ``(activated, cached_experts, n_tokens,
-        candidates, spilled)`` tuple per predicted layer. Each item's
-        result is the exact :meth:`quick_screen` pair (test-enforced).
-        """
-        return [
-            self.quick_screen(
-                activated,
-                cached_experts,
-                n_tokens,
-                candidates,
-                spilled=spilled,
-                disk_fetch_s=disk_fetch_s,
-            )
-            for activated, cached_experts, n_tokens, candidates, spilled in items
-        ]
-
-    def quick_screen(
-        self,
-        activated: list[tuple[int, int]],
-        cached_experts: set[int],
-        n_tokens: int,
-        candidates: list[int],
-        spilled: frozenset[int] | set[int] | None = None,
-        disk_fetch_s: float = 0.0,
-    ) -> tuple[float, dict[int, float]]:
-        """Base quick makespan plus screening bounds, one memo entry.
-
-        Returns ``(base, bounds)`` where ``base`` is the exact float
-        ``simulate_makespan(activated, cached_experts, n_tokens,
-        quick=True, ...)`` would produce (zero backlogs, no inflight)
-        and ``bounds`` is exactly :meth:`quick_makespan_lower_bounds`
-        over ``candidates``; the pair memoizes as one ``"qs"`` entry.
-        ``base`` runs through the same search core as the general
-        quick path, so values are bit-identical to the separate calls
-        (test-enforced).
-        """
-        layer = self.quick_layer(activated, cached_experts, n_tokens, spilled, disk_fetch_s)
-        return layer.screen(candidates)
-
-    def quick_makespans_with(
-        self,
-        activated: list[tuple[int, int]],
-        cached_experts: set[int],
-        n_tokens: int,
-        experts: list[int],
-        spilled: frozenset[int] | set[int] | None = None,
-        disk_fetch_s: float = 0.0,
-    ) -> dict[int, float]:
-        """Batched with-expert quick simulations for the prefetcher.
-
-        Returns, per expert ``e`` of ``experts``, the exact float
-        ``simulate_makespan(activated, cached_experts | {e}, n_tokens,
-        quick=True, ...)`` would produce (zero backlogs, no inflight —
-        the impact simulation's calling convention). Each expert's
-        uncached / cached / CPU-job orders are stable filters of the
-        layer's sorted lists — order-preserving, so the search walks
-        the same floats in the same order as the per-call path
-        (test-enforced) — and the batch memoizes as one ``"qw"`` entry.
-        """
-        layer = self.quick_layer(activated, cached_experts, n_tokens, spilled, disk_fetch_s)
-        return layer.makespans_with(experts)
 
     def invalidate_costs(self) -> None:
         """Drop every memoized plan, makespan and duration table.
@@ -932,7 +751,7 @@ class HybridScheduler:
         spilled=None,
         disk_fetch_s: float = 0.0,
     ) -> tuple[dict[int, int], dict[int, float], frozenset[int]]:
-        """Shared input validation of both search paths.
+        """Input validation of :meth:`plan` and :meth:`simulate_makespan`.
 
         The effective spilled set is intersected with the *uncached*
         activated experts: a GPU-cached expert never touches disk, and
@@ -958,58 +777,11 @@ class HybridScheduler:
         )
         return loads, inflight_eff, spilled_eff
 
-    def _best_simulation(
-        self,
-        activated: list[tuple[int, int]],
-        cached_experts: set[int],
-        oracle: LayerCostOracle,
-        pcie_backlog: float,
-        include_shared: bool,
-        inflight: dict[int, float] | None = None,
-        force_quick: bool = False,
-        cpu_backlog: float = 0.0,
-        spilled: frozenset[int] | set[int] | None = None,
-        disk_fetch_s: float = 0.0,
-    ) -> SimulationResult:
-        """The reference eq.-2 search: every candidate simulated in full."""
-        loads, inflight_eff, spilled_eff = self._validated_inputs(
-            activated, cached_experts, pcie_backlog, cpu_backlog, inflight,
-            spilled, disk_fetch_s,
-        )
-        uncached = [e for e, _ in activated if e not in cached_experts]
-        best: SimulationResult | None = None
-        for k in self._candidate_transfer_counts(len(uncached), force_quick):
-            result = self._simulate(
-                loads,
-                cached_experts,
-                oracle,
-                k,
-                pcie_backlog,
-                include_shared,
-                inflight_eff,
-                cpu_backlog=cpu_backlog,
-                spilled=spilled_eff,
-                disk_fetch_s=disk_fetch_s,
-            )
-            better = best is None or result.makespan < best.makespan - _TIE_EPS
-            tie_fewer_transfers = (
-                best is not None
-                and abs(result.makespan - best.makespan) <= _TIE_EPS
-                and len(result.transfers) < len(best.transfers)
-            )
-            if better or tie_fewer_transfers:
-                best = result
-        assert best is not None  # at least k=0 is always simulated
-        return best
-
-    # ------------------------------------------------------------------
-    # the incremental fast path
-    # ------------------------------------------------------------------
-    def _search_fast(
+    def _search(
         self,
         loads: dict[int, int],
         cached_experts: set[int],
-        oracle: LayerCostOracle,
+        n_tokens: int,
         pcie_backlog: float,
         include_shared: bool,
         inflight: dict[int, float],
@@ -1026,7 +798,7 @@ class HybridScheduler:
         ``record``, also returns the winner's ``(transfers, gpu_order,
         cpu_order, stolen)`` in expert ids, for :meth:`_materialise`.
         """
-        table = self._duration_table(oracle.n_tokens)
+        table = self._duration_table(n_tokens)
         order = sorted(loads, key=lambda e: (-loads[e], e))
         ranked = _Ranked(table, order, loads, spilled, disk_fetch_s)
         cached_r = [e in cached_experts for e in order]
@@ -1077,9 +849,10 @@ class HybridScheduler:
         ``cached_desc`` without in-flight experts), ``cpu_all`` lists
         the uncached ranks in the CPU queue's ``(load, id)`` order.
         Returns ``(best_k, best_makespan, log)`` where
-        ``best_makespan`` is bit-identical to what the reference loop
-        would select: every candidate it does evaluate goes through a
-        float-exact replica of the reference event loop, and every
+        ``best_makespan`` is bit-identical to what a from-scratch
+        simulation of every candidate would select: every candidate it
+        does evaluate goes through the float-exact event loop
+        :meth:`_makespan`, and every
         candidate it prunes is provably unable to beat the incumbent
         (lower bounds are built from the same duration floats the
         simulation would add). With ``record``, ``log`` is the winner's
@@ -1089,8 +862,8 @@ class HybridScheduler:
         spilled = ranked.spilled
         # Transfer-timeline prefix: moving k -> k+1 appends exactly one
         # arrival, so the whole family of PCIe timelines is one shared
-        # accumulation (same `t_pcie += transfer` float sequence as the
-        # reference). A spilled expert's chain grows by its disk hop.
+        # accumulation (same `t_pcie += transfer` float sequence as a
+        # per-candidate timeline). A spilled expert's chain grows by its disk hop.
         transfer = ranked.table.transfer
         arrivals: list[tuple[float, int]] = []
         t_pcie = pcie_backlog
@@ -1152,7 +925,7 @@ class HybridScheduler:
                 events.sort()
             if record:
                 log = ([SHARED_BLOCK] if gpu_t0 > 0.0 else [], [], [])
-            mk = self._fast_makespan(
+            mk = self._makespan(
                 ranked,
                 cached_r,
                 cpu_jobs,
@@ -1164,7 +937,7 @@ class HybridScheduler:
                 log,
             )
             # Ascending k: ties keep the earlier (fewer-transfer)
-            # incumbent, exactly like the reference tie-break.
+            # incumbent, the tie-break towards fewer transfers.
             if mk < best_mk - _TIE_EPS or best_k < 0:
                 best_mk = mk
                 best_k = k
@@ -1172,7 +945,7 @@ class HybridScheduler:
         assert best_k >= 0  # k=0 is never pruned (no incumbent yet)
         return best_k, best_mk, best_log
 
-    def _fast_makespan(
+    def _makespan(
         self,
         ranked: _Ranked,
         cached_r: list[bool],
@@ -1184,19 +957,19 @@ class HybridScheduler:
         cpu_backlog: float,
         log: tuple[list[int], list[int], list[int]] | None = None,
     ) -> float:
-        """Record-free replica of :meth:`_simulate`'s event loop, on ranks.
+        """The event-driven schedule simulation of one allocation, on ranks.
 
-        Performs the same float operations in the same order as the
-        reference simulation but builds no task objects, so the
-        returned makespan is bit-identical at a fraction of the cost.
+        Fills the three timelines as a real run with these priority
+        queues would: the resource whose next operation *starts*
+        earliest advances. It builds no task objects, and it performs
+        the same float operations in the same order as a from-scratch
+        simulation, so the returned makespan is bit-identical.
         ``arrivals[:n_arrivals]`` are the GPU arrivals in event order;
         CPU jobs take their :class:`_Ranked` time (disk fetch
-        included). The bookkeeping differs only where no float is
-        involved: the pool's stealable (cached) experts are counted,
+        included). The pool's stealable (cached) experts are counted,
         and listed only when a steal is attempted; arrivals are
         absorbed inline. ``log``, when given, receives the ranks of the
-        GPU order, the CPU order and the steals as the reference would
-        list them.
+        GPU order, the CPU order and the steals.
         """
         gpu = ranked.gpu
         cpu_first = ranked.cpu_first
@@ -1238,6 +1011,10 @@ class HybridScheduler:
             if gpu_start == inf and cpu_start == inf:
                 break
 
+            # Tie-break: a beneficial CPU steal commits before the GPU's
+            # pop of the same instant — when the CPU can finish a cached
+            # expert sooner than the GPU would clear its queue, holding
+            # the expert hostage on the GPU only inflates the makespan.
             cpu_wins_tie = gpu_start == cpu_start and cpu_idx >= n_cpu_jobs
             if gpu_start <= cpu_start and not cpu_wins_tie:
                 # A non-empty pool starts at t_gpu, up to which arrivals
@@ -1293,185 +1070,6 @@ class HybridScheduler:
 
         cpu_end = t_cpu if cpu_any else 0.0
         return max(t_gpu, cpu_end)
-
-    # ------------------------------------------------------------------
-    # the event-driven schedule simulation (reference oracle)
-    # ------------------------------------------------------------------
-    def _simulate(
-        self,
-        loads: dict[int, int],
-        cached_experts: set[int],
-        oracle: LayerCostOracle,
-        k_transfers: int,
-        pcie_backlog: float,
-        include_shared: bool,
-        inflight: dict[int, float] | None = None,
-        cpu_backlog: float = 0.0,
-        spilled: frozenset[int] = frozenset(),
-        disk_fetch_s: float = 0.0,
-    ) -> SimulationResult:
-        """Fill the three timelines for one transfer allocation.
-
-        The simulation advances the resource whose next operation
-        *starts* earliest, exactly reproducing the interleaving a real
-        run with these priority queues would produce. This is the
-        reference oracle the fast path is property-tested against.
-        Spilled experts (tiered memory) pay ``disk_fetch_s`` before
-        their PCIe transfer or CPU compute — the planner's serialised
-        estimate of the disk -> CPU -> GPU chain.
-        """
-        inflight = inflight or {}
-        by_load_desc = sorted(loads, key=lambda e: (-loads[e], e))
-        uncached_desc = [e for e in by_load_desc if e not in cached_experts]
-        cached_desc = [
-            e for e in by_load_desc if e in cached_experts and e not in inflight
-        ]
-
-        transfer_list = uncached_desc[:k_transfers]
-        cpu_jobs = sorted(
-            (e for e in uncached_desc[k_transfers:]), key=lambda e: (loads[e], e)
-        )
-
-        # PCIe: sequential transfers, high-load first, behind the backlog.
-        # In-flight prefetches arrive at their own ready offsets without
-        # consuming new PCIe time (their transfers are already queued).
-        arrivals: list[tuple[float, int]] = [
-            (ready, e) for e, ready in inflight.items()
-        ]
-        t_pcie = pcie_backlog
-        for expert in transfer_list:
-            if expert in spilled:
-                t_pcie += disk_fetch_s
-            t_pcie += oracle.transfer()
-            arrivals.append((t_pcie, expert))
-        arrivals.sort(key=lambda pair: (pair[0], -loads[pair[1]], pair[1]))
-
-        gpu_order: list[SimulatedTask] = []
-        cpu_order: list[SimulatedTask] = []
-        stolen: list[int] = []
-
-        t_gpu = 0.0
-        if include_shared:
-            shared_dur = oracle.shared_compute(Device.GPU)
-            if shared_dur > 0.0:
-                gpu_order.append(SimulatedTask(SHARED_BLOCK, 0.0, shared_dur, "gpu"))
-                t_gpu = shared_dur
-
-        gpu_pool: list[int] = list(cached_desc)  # descending load
-        arrival_idx = 0
-        t_cpu = cpu_backlog  # shared-CPU work of earlier devices queues ahead
-        cpu_idx = 0
-        cpu_finished = False
-
-        def absorb_arrivals(up_to: float) -> None:
-            nonlocal arrival_idx
-            while arrival_idx < len(arrivals) and arrivals[arrival_idx][0] <= up_to:
-                expert = arrivals[arrival_idx][1]
-                # Insert preserving descending-load order (paper: a
-                # transferred expert joins the GPU queue by load).
-                position = 0
-                while position < len(gpu_pool) and (
-                    loads[gpu_pool[position]] > loads[expert]
-                    or (
-                        loads[gpu_pool[position]] == loads[expert]
-                        and gpu_pool[position] < expert
-                    )
-                ):
-                    position += 1
-                gpu_pool.insert(position, expert)
-                arrival_idx += 1
-
-        def gpu_finish_estimate() -> float:
-            """Lower-bound finish time of all GPU-bound work (no steal)."""
-            t = t_gpu
-            for expert in gpu_pool:
-                t += oracle.gpu_compute(loads[expert])
-            for ready, expert in arrivals[arrival_idx:]:
-                t = max(t, ready) + oracle.gpu_compute(loads[expert])
-            return t
-
-        while True:
-            absorb_arrivals(t_gpu)
-            # --- candidate GPU action -------------------------------------
-            if gpu_pool:
-                gpu_start = t_gpu
-            elif arrival_idx < len(arrivals):
-                gpu_start = max(t_gpu, arrivals[arrival_idx][0])
-            else:
-                gpu_start = float("inf")
-            # --- candidate CPU action -------------------------------------
-            steal_candidates = [e for e in gpu_pool if e in cached_experts]
-            cpu_can_steal = (
-                self.config.allow_cpu_steal
-                and not cpu_finished
-                and cpu_idx >= len(cpu_jobs)
-                and bool(steal_candidates)
-            )
-            if cpu_idx < len(cpu_jobs):
-                cpu_start = t_cpu
-            elif cpu_can_steal:
-                cpu_start = t_cpu
-            else:
-                cpu_start = float("inf")
-
-            if gpu_start == float("inf") and cpu_start == float("inf"):
-                break
-
-            # Tie-break: a beneficial CPU steal commits before the GPU's
-            # pop of the same instant — when the CPU can finish a cached
-            # expert sooner than the GPU would clear its queue, holding
-            # the expert hostage on the GPU only inflates the makespan.
-            cpu_wins_tie = gpu_start == cpu_start and cpu_idx >= len(cpu_jobs)
-            if gpu_start <= cpu_start and not cpu_wins_tie:
-                absorb_arrivals(gpu_start)
-                if not gpu_pool:
-                    raise SchedulingError("simulation invariant: empty GPU pool at dispatch")
-                expert = gpu_pool.pop(0)
-                duration = oracle.gpu_compute(loads[expert])
-                gpu_order.append(
-                    SimulatedTask(expert, gpu_start, gpu_start + duration, "gpu")
-                )
-                t_gpu = gpu_start + duration
-            else:
-                if cpu_idx < len(cpu_jobs):
-                    expert = cpu_jobs[cpu_idx]
-                    cpu_idx += 1
-                else:
-                    # Steal the lowest-load cached expert if the CPU can
-                    # finish it before the GPU would get everything done.
-                    # (Cached, hence never spilled — no disk surcharge.)
-                    candidate = min(steal_candidates, key=lambda e: (loads[e], e))
-                    duration = oracle.cpu_compute(
-                        loads[candidate], first_task=not cpu_order
-                    )
-                    threshold = gpu_finish_estimate() * (1.0 - self.config.steal_margin)
-                    if t_cpu + duration >= threshold:
-                        cpu_finished = True
-                        continue
-                    gpu_pool.remove(candidate)
-                    stolen.append(candidate)
-                    expert = candidate
-                duration = oracle.cpu_compute(loads[expert], first_task=not cpu_order)
-                if expert in spilled:
-                    duration += disk_fetch_s
-                cpu_order.append(
-                    SimulatedTask(expert, t_cpu, t_cpu + duration, "cpu")
-                )
-                t_cpu += duration
-
-        # The CPU contributes to the makespan only through tasks of this
-        # layer — a pre-existing backlog with no CPU work here is other
-        # devices' problem, not this plan's.
-        cpu_end = cpu_order[-1].finish if cpu_order else 0.0
-        makespan = max(t_gpu, cpu_end)
-        return SimulationResult(
-            makespan=makespan,
-            transfers=list(transfer_list),
-            gpu_order=gpu_order,
-            cpu_order=cpu_order,
-            stolen=stolen,
-            loads=dict(loads),
-        )
 
     # ------------------------------------------------------------------
     # plan assembly

@@ -131,14 +131,6 @@ class ImpactDrivenPrefetcher:
         platforms; 0 keeps the two-tier behaviour). Impact simulations
         then cost the full disk -> CPU -> GPU chain, and prefetching a
         spilled expert is charged ``disk_fetch_s`` of extra lead time.
-    fast_path:
-        Screen and simulate through one
-        :meth:`~repro.core.hybrid_scheduler.HybridScheduler.quick_layer`
-        per predicted layer, which validates and sorts once and
-        memoizes whole candidate batches. Bounds — and therefore
-        decisions — are bit-identical either way; ``False`` keeps the
-        per-candidate calls as a perf baseline
-        (``EngineConfig.engine_fast_path`` threads here).
     """
 
     def __init__(
@@ -152,7 +144,6 @@ class ImpactDrivenPrefetcher:
         delta_screen: bool = True,
         exact_top_m: int | None = None,
         disk_fetch_s: float = 0.0,
-        fast_path: bool = True,
     ) -> None:
         if lookahead < 1:
             raise SchedulingError(f"lookahead must be >= 1, got {lookahead}")
@@ -180,7 +171,6 @@ class ImpactDrivenPrefetcher:
         self.delta_screen = delta_screen
         self.exact_top_m = exact_top_m
         self.disk_fetch_s = disk_fetch_s
-        self.fast_path = fast_path
 
     # ------------------------------------------------------------------
     def predicted_activation(
@@ -196,7 +186,7 @@ class ImpactDrivenPrefetcher:
         scores = np.asarray(prediction.scores, dtype=np.float64)
         k = min(self.num_activated, scores.size)
         top = np.argsort(-scores, kind="stable")[:k]
-        if self.fast_path and prediction.n_tokens == 1:
+        if prediction.n_tokens == 1:
             # Decode: the `min(load, n_tokens)` cap below forces every
             # load to exactly 1, so the share apportionment is dead
             # arithmetic — skip it.
@@ -238,45 +228,24 @@ class ImpactDrivenPrefetcher:
             if not candidates:
                 continue
             spilled = prediction.spilled_experts
-            bounds = None
-            quick = None
-            if self.fast_path:
-                # One validated, load-ranked handle per predicted layer
-                # answers both the screening pass and the survivors'
-                # exact simulations, memoized; floats are bit-identical
-                # to the per-call path below.
-                quick = self.scheduler.quick_layer(
-                    activated, cached, prediction.n_tokens, spilled, self.disk_fetch_s
-                )
-                base, bounds = quick.screen(candidates if self.delta_screen else [])
-            else:
-                base = self.scheduler.simulate_makespan(
-                    activated, cached, prediction.n_tokens, quick=True,
-                    spilled=spilled, disk_fetch_s=self.disk_fetch_s,
-                )
+            # One validated, load-ranked handle per predicted layer
+            # answers both the screening pass and the survivors' exact
+            # simulations, memoized.
+            quick = self.scheduler.quick_layer(
+                activated, cached, prediction.n_tokens, spilled, self.disk_fetch_s
+            )
+            base, bounds = quick.screen(candidates if self.delta_screen else [])
             if prediction.confidence is not None:
                 confidence = prediction.confidence
             else:
                 confidence = self.confidence_decay ** (distance - 1)
-            survivors = self._screen(
-                activated, cached, candidates, base, confidence,
-                prediction.n_tokens, spilled, bounds=bounds,
-            )
-            with_makespans = None
-            if quick is not None and survivors:
-                with_makespans = quick.makespans_with(survivors)
+            survivors = self._screen(candidates, base, confidence, bounds)
+            # Simulating an expert as cached: its own spill state is
+            # moot (the scheduler intersects spilled with uncached), but
+            # the rest of the layer keeps its surcharges.
+            with_makespans = quick.makespans_with(survivors) if survivors else {}
             for expert in survivors:
-                # Simulating `expert` as cached: its own spill state is
-                # moot (the scheduler intersects spilled with uncached),
-                # but the rest of the layer keeps its surcharges.
-                if with_makespans is not None:
-                    with_expert = with_makespans[expert]
-                else:
-                    with_expert = self.scheduler.simulate_makespan(
-                        activated, cached | {expert}, prediction.n_tokens, quick=True,
-                        spilled=spilled, disk_fetch_s=self.disk_fetch_s,
-                    )
-                gain = (base - with_expert) * confidence
+                gain = (base - with_makespans[expert]) * confidence
                 if gain > self.min_gain:
                     if transfer_s is None:
                         transfer_s = self.transfer_time_fn()
@@ -300,14 +269,10 @@ class ImpactDrivenPrefetcher:
 
     def _screen(
         self,
-        activated: list[tuple[int, int]],
-        cached: set[int],
         candidates: list[int],
         base: float,
         confidence: float,
-        n_tokens: int,
-        spilled: frozenset[int] = frozenset(),
-        bounds: dict[int, float] | None = None,
+        bounds: dict[int, float],
     ) -> list[int]:
         """Candidates whose exact simulation could still clear min_gain.
 
@@ -317,22 +282,14 @@ class ImpactDrivenPrefetcher:
         ``min_gain`` — the exact path would have dropped it too, so the
         surviving set yields bit-identical decisions. ``exact_top_m``
         then optionally caps the survivors (approximation, off by
-        default). ``bounds`` supplies precomputed screening bounds
-        (:meth:`~repro.core.hybrid_scheduler.QuickLayer.screen`);
-        otherwise each is computed per candidate.
+        default). ``bounds`` holds each candidate's screening bound
+        (:meth:`~repro.core.hybrid_scheduler.QuickLayer.screen`).
         """
         if not self.delta_screen:
             return list(candidates)
         scored: list[tuple[float, int]] = []
         for expert in candidates:
-            if bounds is not None:
-                bound = bounds[expert]
-            else:
-                bound = self.scheduler.quick_makespan_lower_bound(
-                    activated, cached | {expert}, n_tokens,
-                    spilled=spilled, disk_fetch_s=self.disk_fetch_s,
-                )
-            gain_bound = (base - bound) * confidence
+            gain_bound = (base - bounds[expert]) * confidence
             if gain_bound > self.min_gain:
                 scored.append((gain_bound, expert))
         if self.exact_top_m is not None and len(scored) > self.exact_top_m:

@@ -75,7 +75,6 @@ class HybriMoEStrategy(Strategy):
                 confidence_decay=runtime.config.prefetch_confidence_decay,
                 exact_top_m=runtime.config.prefetch_exact_top_m,
                 disk_fetch_s=runtime.disk_fetch_est_s,
-                fast_path=runtime.config.engine_fast_path,
             )
 
     def on_costs_changed(self) -> None:

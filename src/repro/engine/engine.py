@@ -72,22 +72,6 @@ class EngineConfig:
         Per-distance gain discount of the impact-driven prefetcher.
     scheduler:
         Configuration of the hybrid scheduler's search.
-    planner_fast_path:
-        Convenience override of the planner path: True forces the
-        incremental fast path, False forces the full pre-PR-3
-        reference planner — the from-scratch simulator *with the plan
-        memo disabled* (perf baselines, oracle comparisons) — and None
-        (default) respects the scheduler config. Plans are
-        bit-identical either way — this is purely a latency knob.
-    engine_fast_path:
-        Engine-core fast path (default on): vectorized per-layer step
-        work in the pipeline, record-free batched plan execution,
-        event-driven clock frontiers, indexed cache-residency lookups
-        and memoized victim selection, and batched prefetch screening.
-        ``False`` runs the pre-PR reference engine loop as a perf
-        baseline and bit-equivalence oracle. Outputs, schedules, cache
-        state and metrics are bit-identical either way
-        (property-test-enforced) — purely a latency knob.
     prefetch_exact_top_m:
         Cap on how many screening survivors per predicted layer get an
         exact impact simulation (best delta bound first). ``None``
@@ -154,8 +138,6 @@ class EngineConfig:
     prefetch_lookahead: int = 3
     prefetch_confidence_decay: float = 0.8
     scheduler: SchedulerConfig = field(default_factory=SchedulerConfig)
-    planner_fast_path: bool | None = None
-    engine_fast_path: bool = True
     prefetch_exact_top_m: int | None = None
     mrs_alpha: float = 0.7
     validate_plans: bool = True
@@ -241,19 +223,6 @@ class EngineConfig:
         """Whether the engine runs the three-tier memory hierarchy."""
         return self.cpu_cache_capacity is not None
 
-    def scheduler_config(self) -> SchedulerConfig:
-        """The effective scheduler config (fast-path override applied).
-
-        ``planner_fast_path=False`` selects the *reference baseline* —
-        from-scratch simulation and no memo — so timings against it
-        measure the whole pre-fast-path planner, not memo hits.
-        """
-        if self.planner_fast_path is None:
-            return self.scheduler
-        if self.planner_fast_path:
-            return replace(self.scheduler, fast_path=True)
-        return replace(self.scheduler, fast_path=False, plan_cache_size=0)
-
 
 class EngineRuntime:
     """Shared state handed to strategies when they bind to an engine."""
@@ -270,9 +239,7 @@ class EngineRuntime:
         self.config = config
         self.cost_actual = cost_actual
         self.cost_estimated = cost_estimated
-        self.clock = ThreeResourceClock(
-            config.num_gpus, disk=config.tiered, fast=config.engine_fast_path
-        )
+        self.clock = ThreeResourceClock(config.num_gpus, disk=config.tiered)
         self.arrivals: dict[tuple[int, int], float] = {}
         #: In-flight disk -> DRAM stagings issued by prefetching, keyed
         #: by expert with the read's finish time. Residency flips only
@@ -298,7 +265,7 @@ class EngineRuntime:
             )
         else:
             self.disk_fetch_est_s = 0.0
-        self.scheduler = HybridScheduler(self.estimated_oracle, config.scheduler_config())
+        self.scheduler = HybridScheduler(self.estimated_oracle, config.scheduler)
         self._warmup_trace: RoutingTrace | None = None
         # Oracles are frozen value objects deterministic per n_tokens;
         # memoizing them spares StepPipeline rebuilding an identical
@@ -492,7 +459,6 @@ class InferenceEngine:
             )
         else:
             self.runtime.cache = gpu_cache
-        self.runtime.cache.set_fast_path(self.config.engine_fast_path)
         self.runtime.cache.validate()
         if self.config.predictor is not None:
             # The predictor bulk-fits on the warmup trace (the same

@@ -103,8 +103,6 @@ def make_engine(
     seed: int = 0,
     num_gpus: int = 1,
     placement: str = "round_robin",
-    planner_fast_path: bool | None = None,
-    engine_fast_path: bool = True,
     cpu_cache_capacity: int | None = None,
     cpu_cache_policy: str = "lru",
     disk_bandwidth: float | None = None,
@@ -146,18 +144,6 @@ def make_engine(
         Expert-placement policy for the sharded cache —
         ``"round_robin"``, ``"layer_striped"`` or ``"load_aware"``
         (ignored when ``engine_config`` given).
-    planner_fast_path:
-        Planner path override: True = incremental fast path, False =
-        the pre-PR-3 reference planner (from-scratch simulator, plan
-        memo disabled), None = scheduler-config default (the fast
-        path). Plans are bit-identical either way (ignored when
-        ``engine_config`` given).
-    engine_fast_path:
-        Engine-core path: True (default) = vectorized step pipeline
-        with record-free execution and cached clock frontiers, False =
-        the pre-PR reference engine loop (perf baseline / oracle).
-        Outputs are bit-identical either way (ignored when
-        ``engine_config`` given).
     cpu_cache_capacity:
         Routed-expert slots of host DRAM; ``None`` keeps the unbounded
         CPU store (the classic two-tier engine). An integer enables the
@@ -199,8 +185,6 @@ def make_engine(
         seed = spec.seed
         num_gpus = spec.num_gpus
         placement = spec.placement
-        planner_fast_path = spec.planner_fast_path
-        engine_fast_path = spec.engine_fast_path
         cpu_cache_capacity = spec.cpu_cache_capacity
         cpu_cache_policy = spec.cpu_cache_policy
         disk_bandwidth = spec.disk_bandwidth
@@ -222,8 +206,6 @@ def make_engine(
             seed=seed,
             num_gpus=num_gpus,
             placement=placement,
-            planner_fast_path=planner_fast_path,
-            engine_fast_path=engine_fast_path,
             cpu_cache_capacity=cpu_cache_capacity,
             cpu_cache_policy=cpu_cache_policy,
             disk_bandwidth=disk_bandwidth,
@@ -243,8 +225,6 @@ def make_serving_engine(
     seed: int = 0,
     num_gpus: int = 1,
     placement: str = "round_robin",
-    planner_fast_path: bool | None = None,
-    engine_fast_path: bool = True,
     cpu_cache_capacity: int | None = None,
     cpu_cache_policy: str = "lru",
     disk_bandwidth: float | None = None,
@@ -309,8 +289,6 @@ def make_serving_engine(
         model, strategy, cache_ratio = e.model, e.strategy, e.cache_ratio
         hardware, num_layers, seed = e.hardware, e.num_layers, e.seed
         num_gpus, placement = e.num_gpus, e.placement
-        planner_fast_path = e.planner_fast_path
-        engine_fast_path = e.engine_fast_path
         cpu_cache_capacity = e.cpu_cache_capacity
         cpu_cache_policy = e.cpu_cache_policy
         disk_bandwidth = e.disk_bandwidth
@@ -333,8 +311,6 @@ def make_serving_engine(
         seed=seed,
         num_gpus=num_gpus,
         placement=placement,
-        planner_fast_path=planner_fast_path,
-        engine_fast_path=engine_fast_path,
         cpu_cache_capacity=cpu_cache_capacity,
         cpu_cache_policy=cpu_cache_policy,
         disk_bandwidth=disk_bandwidth,
@@ -366,8 +342,6 @@ def make_fleet(
     seed: int = 0,
     num_gpus: int = 1,
     placement: str = "round_robin",
-    planner_fast_path: bool | None = None,
-    engine_fast_path: bool = True,
     cpu_cache_capacity: int | None = None,
     cpu_cache_policy: str = "lru",
     disk_bandwidth: float | None = None,
@@ -434,8 +408,6 @@ def make_fleet(
         model, strategy, cache_ratio = e.model, e.strategy, e.cache_ratio
         hardware, num_layers, seed = e.hardware, e.num_layers, e.seed
         num_gpus, placement = e.num_gpus, e.placement
-        planner_fast_path = e.planner_fast_path
-        engine_fast_path = e.engine_fast_path
         cpu_cache_capacity = e.cpu_cache_capacity
         cpu_cache_policy = e.cpu_cache_policy
         disk_bandwidth = e.disk_bandwidth
@@ -479,8 +451,6 @@ def make_fleet(
             seed=seed,
             num_gpus=num_gpus,
             placement=placement,
-            planner_fast_path=planner_fast_path,
-            engine_fast_path=engine_fast_path,
             cpu_cache_capacity=cpu_cache_capacity,
             cpu_cache_policy=cpu_cache_policy,
             disk_bandwidth=disk_bandwidth,

@@ -121,11 +121,6 @@ class StepPipeline:
         self.model = model
         self.strategy = strategy
         self.runtime = runtime
-        #: Engine-core fast path (``EngineConfig.engine_fast_path``):
-        #: vectorized per-layer batch work and record-free plan
-        #: execution. Every fast branch is bit-identical to the
-        #: reference branch (property-test-enforced).
-        self.fast = runtime.config.engine_fast_path
 
     # ------------------------------------------------------------------
     def _cache(self) -> ExpertCache | ShardedCacheManager | TieredCacheManager:
@@ -225,19 +220,11 @@ class StepPipeline:
                 )
             z = model.moe_input(h)
             router = model.route(z, layer)
-            if self.fast:
-                # Same (expert, load) pairs as the reference genexpr:
-                # flatnonzero is ascending and tolist() yields the very
-                # ints `int(loads[e])` would.
-                active_ids = np.flatnonzero(router.loads > 0)
-                activated = tuple(
-                    zip(active_ids.tolist(), router.loads[active_ids].tolist())
-                )
-            else:
-                activated = tuple(
-                    (expert, int(router.loads[expert]))
-                    for expert in router.activated_experts()
-                )
+            # Ascending (expert, load) pairs of the activated experts.
+            active_ids = np.flatnonzero(router.loads > 0)
+            activated = tuple(
+                zip(active_ids.tolist(), router.loads[active_ids].tolist())
+            )
             cached = frozenset(cache.cached_experts_of_layer(layer))
             if runtime.tiered:
                 self._commit_landed_promotions(attn_end)
@@ -305,7 +292,7 @@ class StepPipeline:
                     attn_end,
                     runtime.arrivals,
                     spilled=spilled,
-                    collect_records=not self.fast,
+                    collect_records=False,
                 )
                 self._promote_spilled(layer, spilled)
                 self.strategy.after_layer(ctx, plan)
@@ -462,7 +449,7 @@ class StepPipeline:
                 runtime.arrivals,
                 device=device,
                 spilled=dev_spilled,
-                collect_records=not self.fast,
+                collect_records=False,
             )
             self._promote_spilled(layer, dev_spilled)
             self.strategy.after_layer(dev_ctx, plan)
@@ -484,42 +471,34 @@ class StepPipeline:
         reference forward pass — regardless of which device (or how
         many devices) computed each expert.
 
-        The fast path resolves each expert's token rows and routing
-        weights with **one** ``np.nonzero`` (the reference helpers each
-        run their own), and accumulates with ``out[rows] +=`` — legal
+        Each expert's token rows and routing weights come from **one**
+        ``np.nonzero``, and accumulation is ``out[rows] +=`` — legal
         because top-k indices are distinct per token row, so each
         expert's row list has no duplicates and the fancy-index add
         performs the exact same additions ``np.add.at`` would.
         """
         out = np.zeros_like(z)
         model = self.model
-        if self.fast:
-            topk_idx = router.topk_idx
-            topk_weights = router.topk_weights
-            dtype = z.dtype
-            if z.shape[0] == 1:
-                # Single-token decode: every routed expert sits in row
-                # 0's top-k, so row/column resolution is a plain list
-                # lookup and the scalar weight multiply performs the
-                # same IEEE-754 ops as the broadcast below.
-                row_experts = topk_idx[0].tolist()
-                weights_row = topk_weights[0]
-                for task in sorted(routed_tasks, key=lambda t: t.expert):
-                    col = row_experts.index(task.expert)
-                    expert_out = model.expert_forward(z, layer, task.expert)
-                    out += expert_out * dtype.type(weights_row[col])
-                return out
+        topk_idx = router.topk_idx
+        topk_weights = router.topk_weights
+        dtype = z.dtype
+        if z.shape[0] == 1:
+            # Single-token decode: every routed expert sits in row 0's
+            # top-k, so row/column resolution is a plain list lookup and
+            # the scalar weight multiply performs the same IEEE-754 ops
+            # as the broadcast below.
+            row_experts = topk_idx[0].tolist()
+            weights_row = topk_weights[0]
             for task in sorted(routed_tasks, key=lambda t: t.expert):
-                rows, cols = np.nonzero(topk_idx == task.expert)
-                weights = topk_weights[rows, cols]
-                expert_out = model.expert_forward(z[rows], layer, task.expert)
-                out[rows] += expert_out * weights[:, None].astype(dtype)
+                col = row_experts.index(task.expert)
+                expert_out = model.expert_forward(z, layer, task.expert)
+                out += expert_out * dtype.type(weights_row[col])
             return out
         for task in sorted(routed_tasks, key=lambda t: t.expert):
-            rows = router.tokens_for_expert(task.expert)
-            weights = router.weights_for_expert(task.expert)
+            rows, cols = np.nonzero(topk_idx == task.expert)
+            weights = topk_weights[rows, cols]
             expert_out = model.expert_forward(z[rows], layer, task.expert)
-            np.add.at(out, rows, expert_out * weights[:, None].astype(z.dtype))
+            out[rows] += expert_out * weights[:, None].astype(dtype)
         return out
 
     def _issue_prefetches(self, ctx: LayerContext, z: np.ndarray) -> None:

@@ -11,10 +11,7 @@ start times and the finish times are non-decreasing; the windowed
 accounting queries (:meth:`ResourceTimeline.busy_time`) exploit that to
 bisect to the overlapping slice instead of rescanning the whole ledger.
 The bisected sum adds exactly the same floats in exactly the same order
-as the full linear scan (skipped intervals contribute nothing), so the
-fast accounting is bit-identical; ``fast=False`` keeps the historical
-full scan as a perf oracle (the engine threads
-``EngineConfig.engine_fast_path`` here).
+as a full linear scan would (skipped intervals contribute nothing).
 """
 
 from __future__ import annotations
@@ -53,15 +50,10 @@ class ResourceTimeline:
     ----------
     name:
         Resource name used in labels and error messages.
-    fast:
-        Use the bisected windowed accounting (bit-identical to the
-        linear scan; ``False`` keeps the historical full rescan as a
-        perf baseline).
     """
 
-    def __init__(self, name: str, fast: bool = True) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.fast = fast
         self._intervals: list[TimelineInterval] = []
         # Parallel start/finish arrays (both non-decreasing by
         # construction) backing the bisected accounting queries.
@@ -120,25 +112,18 @@ class ResourceTimeline:
             raise SimulationError(
                 f"{self.name}: window end {window_end} before start {window_start}"
             )
+        # Only intervals with finish > window_start and start <
+        # window_end can overlap; both arrays are non-decreasing, so the
+        # overlapping intervals form one contiguous slice. Summing just
+        # that slice (in order) adds the exact floats a full scan would
+        # - every skipped term is zero.
+        lo_idx = bisect_right(self._finishes, window_start)
+        hi_idx = bisect_left(self._starts, window_end, lo_idx)
+        starts, finishes = self._starts, self._finishes
         total = 0.0
-        if self.fast:
-            # Only intervals with finish > window_start and start <
-            # window_end can overlap; both arrays are non-decreasing,
-            # so the overlapping intervals form one contiguous slice.
-            # Summing just that slice (in order) adds the exact floats
-            # the full scan would - every skipped term is zero.
-            lo_idx = bisect_right(self._finishes, window_start)
-            hi_idx = bisect_left(self._starts, window_end, lo_idx)
-            starts, finishes = self._starts, self._finishes
-            for i in range(lo_idx, hi_idx):
-                lo = max(starts[i], window_start)
-                hi = min(finishes[i], window_end)
-                if hi > lo:
-                    total += hi - lo
-            return total
-        for interval in self._intervals:
-            lo = max(interval.start, window_start)
-            hi = min(interval.finish, window_end)
+        for i in range(lo_idx, hi_idx):
+            lo = max(starts[i], window_start)
+            hi = min(finishes[i], window_end)
             if hi > lo:
                 total += hi - lo
         return total

@@ -100,9 +100,6 @@ class EngineSpec:
         Hardware preset name (``"paper"``, ``"disk-slow"``, ``"edge"``, ...).
     num_gpus / placement:
         Simulated device count and sharded-cache placement policy.
-    planner_fast_path / engine_fast_path:
-        Planner / engine-core implementation toggles (bit-identical
-        outputs either way; latency knobs only).
     cpu_cache_capacity / cpu_cache_policy / disk_bandwidth:
         Tiered-memory knobs (``None`` capacity keeps the classic
         two-tier engine).
@@ -121,8 +118,6 @@ class EngineSpec:
     seed: int = 0
     num_gpus: int = 1
     placement: str = "round_robin"
-    planner_fast_path: bool | None = None
-    engine_fast_path: bool = True
     cpu_cache_capacity: int | None = None
     cpu_cache_policy: str = "lru"
     disk_bandwidth: float | None = None

@@ -44,7 +44,7 @@ __all__ = ["SWEEP_SCHEMA_VERSION", "SweepReport", "run_sweep", "sweep_cells"]
 
 #: Bump when the cell / merged payload layout changes; resuming over
 #: cells of another schema re-runs them.
-SWEEP_SCHEMA_VERSION = 2
+SWEEP_SCHEMA_VERSION = 3
 
 _CELL_DIR = "cells"
 _MERGED_NAME = "sweep.json"

@@ -273,9 +273,9 @@ class ServingSession:
         Degradation state, request timeouts and overload shedding are
         all observed here, at the step boundary, *before* the scheduler
         decision — the same observation discipline as replica crashes,
-        so the fast and reference planner paths cost a degraded link
-        identically and a deadline passing mid-step takes effect at the
-        next boundary.
+        so every plan of a step is costed against the same link state
+        and a deadline passing mid-step takes effect at the next
+        boundary.
         """
         if self.dead:
             return False

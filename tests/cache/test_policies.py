@@ -221,6 +221,38 @@ class TestMRSVectorizedEquivalence:
         for key in sorted(resident):
             assert policy.priority(key) == reference.priority(key)
 
+    def test_victim_resident_matches_victim_under_churn(self):
+        """The incremental victim index the cache consults agrees with
+        the lexsort oracle through insert/evict/access/score/lock churn."""
+        from repro.cache.manager import ExpertCache
+
+        rng = np.random.default_rng(7)
+        policy = MRSPolicy(top_p=4)
+        cache = ExpertCache(6, policy)
+        checked = 0
+        for _ in range(300):
+            op = rng.integers(0, 5)
+            key = (int(rng.integers(0, 3)), int(rng.integers(0, 8)))
+            if op == 0:
+                cache.insert(key)
+            elif op == 1:
+                cache.access(key)
+            elif op == 2:
+                cache.observe_scores(key[0], rng.random(8))
+            elif op == 3:
+                cache.lock([key])
+            else:
+                cache.unlock_all()
+            resident, locked = cache.dynamic_keys, cache.locked_keys
+            candidates = resident - locked
+            if candidates:
+                assert policy.victim_resident(resident, locked) == policy.victim(
+                    sorted(candidates)
+                )
+                checked += 1
+        cache.validate()
+        assert checked > 200
+
 
 class TestFactory:
     @pytest.mark.parametrize("name,cls", [("lru", LRUPolicy), ("lfu", LFUPolicy), ("mrs", MRSPolicy)])

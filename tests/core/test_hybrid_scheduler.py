@@ -1,6 +1,7 @@
 """Hybrid scheduler unit tests, including the paper's Fig. 5 example."""
 
 import pytest
+from reference_planner import ReferenceScheduler
 
 from repro.core.hybrid_scheduler import HybridScheduler, SchedulerConfig
 from repro.core.tasks import SHARED_BLOCK
@@ -41,7 +42,7 @@ class TestFig5Example:
 
     def test_makespan_beats_no_transfer(self, scheduler, toy_oracle_factory):
         chosen = scheduler.plan(0, FIG5_ACTIVATED, FIG5_CACHED, 1).estimated_makespan
-        no_transfer = HybridScheduler(
+        no_transfer = ReferenceScheduler(
             toy_oracle_factory, SchedulerConfig(allow_cpu_steal=True)
         )._simulate(
             dict(FIG5_ACTIVATED), FIG5_CACHED, toy_oracle_factory(1), 0, 0.0, True

@@ -1,6 +1,6 @@
-"""Total-order determinism of the planner (fast/reference comparability).
+"""Total-order determinism of the planner (incremental/reference comparability).
 
-The fast-path equality guarantee rests on every ordering decision in
+The incremental search's equality with the reference planner rests on every ordering decision in
 the scheduler being a *total* order — any tie broken by expert id so no
 two distinct inputs compare equal:
 
@@ -21,6 +21,8 @@ tie-break.
 """
 
 import random
+
+from reference_planner import ReferenceScheduler
 
 from repro.core.hybrid_scheduler import HybridScheduler, SchedulerConfig
 from repro.core.tasks import LayerCostOracle
@@ -58,17 +60,15 @@ class _Cost:
         return 0.1
 
 
-def _scheduler(fast_path, steal=True, **cost_kwargs):
+def _scheduler(incremental, steal=True, **cost_kwargs):
     cost = _Cost(**cost_kwargs)
 
     def factory(n_tokens):
         return LayerCostOracle.for_model(cost, _MODEL, n_tokens)
 
-    return HybridScheduler(
-        factory,
-        SchedulerConfig(
-            fast_path=fast_path, plan_cache_size=0, allow_cpu_steal=steal
-        ),
+    scheduler = HybridScheduler if incremental else ReferenceScheduler
+    return scheduler(
+        factory, SchedulerConfig(plan_cache_size=0, allow_cpu_steal=steal)
     )
 
 
@@ -77,8 +77,8 @@ def test_plan_invariant_to_presentation_order():
     the inflight dict insertion order never changes the plan."""
     rng = derive_rng(0, "determinism", "shuffle")
     pyrng = random.Random(0)
-    for fast_path in (True, False):
-        scheduler = _scheduler(fast_path)
+    for incremental in (True, False):
+        scheduler = _scheduler(incremental)
         for _ in range(40):
             n = int(rng.integers(2, 14))
             experts = [int(e) for e in rng.choice(32, size=n, replace=False)]
@@ -115,8 +115,8 @@ def test_all_equal_loads_hit_every_id_tie_break():
     """With every load identical, every comparator falls through to the
     expert-id tie-break; the result must still be one deterministic
     plan, identical across paths and repetitions."""
-    for fast_path in (True, False):
-        scheduler = _scheduler(fast_path)
+    for incremental in (True, False):
+        scheduler = _scheduler(incremental)
         activated = [(e, 4) for e in range(10)]
         cached = {1, 3, 5, 7, 9}
         plans = [
@@ -139,8 +139,8 @@ def test_all_equal_loads_hit_every_id_tie_break():
 def test_equal_arrival_instants_are_ordered_by_load_then_id():
     """Two inflight experts becoming ready at the same instant join the
     GPU queue high-load first, then lowest id — deterministically."""
-    for fast_path in (True, False):
-        scheduler = _scheduler(fast_path, steal=False)
+    for incremental in (True, False):
+        scheduler = _scheduler(incremental, steal=False)
         plan = scheduler.plan(
             0,
             [(2, 5), (4, 5), (6, 9)],

@@ -1,17 +1,19 @@
-"""Fast-path vs reference planner equality (the PR 3 tentpole contract).
+"""Incremental planner vs the from-scratch reference planner.
 
-The incremental fast path prunes candidates, memoizes durations and
-skips plan materialisation for losing allocations — but it must emit
-**bit-identical plans** to the reference event-driven simulator. These
-property tests pin that down over randomized activations, cache
-states, in-flight arrivals, backlogs and cost regimes, at the raw
-scheduler level, through every strategy's ``plan_layer`` (single- and
-multi-GPU-shaped contexts), and end-to-end through the engine.
+The planner's incremental search prunes candidates, memoizes durations
+and skips plan materialisation for losing allocations — but it must
+emit **bit-identical plans** to the reference event-driven simulator
+(:mod:`reference_planner`). These property tests pin that down over
+randomized activations, cache states, in-flight arrivals, backlogs and
+cost regimes, at the raw scheduler level, through every strategy's
+``plan_layer`` (single- and multi-GPU-shaped contexts), and end-to-end
+through the engine.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_planner import ReferenceScheduler, use_reference_planner
 
 from repro.core.hybrid_scheduler import HybridScheduler, SchedulerConfig
 from repro.core.tasks import LayerCostOracle
@@ -66,26 +68,10 @@ def _scheduler_pair(gpu, cpu, transfer, warmup, steal, margin, width):
     def factory(n_tokens):
         return LayerCostOracle.for_model(cost, _MODEL, n_tokens)
 
-    fast = HybridScheduler(
-        factory,
-        SchedulerConfig(
-            allow_cpu_steal=steal,
-            steal_margin=margin,
-            max_search_width=width,
-            fast_path=True,
-        ),
+    config = SchedulerConfig(
+        allow_cpu_steal=steal, steal_margin=margin, max_search_width=width
     )
-    reference = HybridScheduler(
-        factory,
-        SchedulerConfig(
-            allow_cpu_steal=steal,
-            steal_margin=margin,
-            max_search_width=width,
-            fast_path=False,
-            plan_cache_size=0,
-        ),
-    )
-    return fast, reference
+    return HybridScheduler(factory, config), ReferenceScheduler(factory, config)
 
 
 _ACTIVATION = st.dictionaries(
@@ -192,7 +178,7 @@ class TestFastPathEquality:
         fast, _ = _scheduler_pair(gpu, cpu, transfer, 0.0, True, 0.0, None)
         activated = sorted(loads.items())
         cached = cached_mask & set(loads)
-        bound = fast.quick_makespan_lower_bound(activated, cached, 4)
+        bound = fast.quick_layer(activated, cached, 4)._bound(None)
         exact = fast.simulate_makespan(activated, cached, 4, quick=True)
         assert bound <= exact
 
@@ -215,19 +201,15 @@ _TINY = MoEModelConfig(
 def _engine_pair(strategy_name):
     from repro.models.model import ReferenceMoEModel
 
-    engines = []
-    for fast in (True, False):
-        engines.append(
-            make_engine(
-                model=ReferenceMoEModel(
-                    _TINY, d_model=16, d_ff=32, vocab_size=128, seed=0
-                ),
-                strategy=strategy_name,
-                engine_config=EngineConfig(
-                    cache_ratio=0.5, planner_fast_path=fast
-                ),
-            )
+    engines = [
+        make_engine(
+            model=ReferenceMoEModel(_TINY, d_model=16, d_ff=32, vocab_size=128, seed=0),
+            strategy=strategy_name,
+            engine_config=EngineConfig(cache_ratio=0.5),
         )
+        for _ in range(2)
+    ]
+    use_reference_planner(engines[1])
     return engines
 
 
@@ -263,7 +245,7 @@ def _random_context(rng, layer, multi_gpu):
 def test_strategy_plans_identical_across_paths(strategy_name):
     """For randomized layer contexts — including multi-GPU device-group
     shapes (partial activations, cpu_backlog, include_shared=False) —
-    every strategy's plan is bit-identical under both planner paths.
+    every strategy's plan is bit-identical under both planners.
 
     Five strategies x 40 contexts = 200 randomized cases.
     """
@@ -278,7 +260,7 @@ def test_strategy_plans_identical_across_paths(strategy_name):
 
 def test_end_to_end_generation_identical(prompt_tokens):
     """A full generate() run (prefill + sampled decode, prefetching and
-    MRS caching active) is step-for-step identical under both paths."""
+    MRS caching active) is step-for-step identical under both planners."""
     engine_fast, engine_ref = _engine_pair("hybrimoe")
     result_fast = engine_fast.generate(prompt_tokens, decode_steps=6)
     result_ref = engine_ref.generate(prompt_tokens, decode_steps=6)
@@ -290,17 +272,17 @@ def test_end_to_end_generation_identical(prompt_tokens):
 
 def test_end_to_end_sharded_identical(prompt_tokens):
     """The sharded (multi-GPU) dispatch path threads the same memoized
-    planner; a 2-GPU run is identical under both planner paths."""
+    planner; a 2-GPU run is identical under both planners."""
     results = []
-    for fast in (True, False):
+    for reference in (False, True):
         engine = make_engine(
             model="deepseek",
             strategy="hybrimoe",
             num_layers=2,
-            engine_config=EngineConfig(
-                cache_ratio=0.25, num_gpus=2, planner_fast_path=fast
-            ),
+            engine_config=EngineConfig(cache_ratio=0.25, num_gpus=2),
         )
+        if reference:
+            use_reference_planner(engine)
         results.append(engine.generate(prompt_tokens, decode_steps=4))
     fast_result, ref_result = results
     assert fast_result.prefill == ref_result.prefill
@@ -394,23 +376,6 @@ class TestPlanMemo:
             scheduler.plan(0, [(0, 1)], set(), n_tokens=1, pcie_backlog=-1.0)
 
 
-def test_engine_threads_fast_path_override():
-    """EngineConfig.planner_fast_path overrides the scheduler config on
-    the runtime's planner (both directions)."""
-    cfg_on = EngineConfig(planner_fast_path=True, scheduler=SchedulerConfig(fast_path=False))
-    cfg_off = EngineConfig(planner_fast_path=False)
-    cfg_none = EngineConfig(scheduler=SchedulerConfig(fast_path=False))
-    assert cfg_on.scheduler_config().fast_path is True
-    assert cfg_off.scheduler_config().fast_path is False
-    # False selects the full pre-fast-path baseline: memo off too, so
-    # timings against it measure the from-scratch planner, not hits.
-    assert cfg_off.scheduler_config().plan_cache_size == 0
-    assert cfg_none.scheduler_config().fast_path is False
-    assert cfg_none.scheduler_config().plan_cache_size > 0
-    assert EngineConfig().scheduler_config().fast_path is True
-    assert EngineConfig().scheduler_config().plan_cache_size > 0
-
-
 def test_runtime_memoizes_oracles():
     """StepPipeline asks for an oracle per layer; the runtime hands back
     the same frozen object per (kind, n_tokens)."""
@@ -446,8 +411,8 @@ def test_prefetcher_exact_top_m_validation():
 
 
 def test_prefetch_screening_preserves_decisions():
-    """Delta screening (fast scheduler) returns exactly the decisions of
-    the unscreened reference-path prefetcher."""
+    """Delta screening (production scheduler) returns exactly the
+    decisions of the unscreened prefetcher on the reference planner."""
     from repro.core.prefetch import ImpactDrivenPrefetcher, PredictedLayer
 
     cost = _RandomCost(1.0, 2.5, 4.0)
@@ -455,10 +420,8 @@ def test_prefetch_screening_preserves_decisions():
     def factory(n_tokens):
         return LayerCostOracle.for_model(cost, _MODEL, n_tokens)
 
-    fast_sched = HybridScheduler(factory, SchedulerConfig(fast_path=True))
-    ref_sched = HybridScheduler(
-        factory, SchedulerConfig(fast_path=False, plan_cache_size=0)
-    )
+    fast_sched = HybridScheduler(factory)
+    ref_sched = ReferenceScheduler(factory)
     screened = ImpactDrivenPrefetcher(
         fast_sched, lambda: 4.0, 4, lookahead=3, delta_screen=True
     )

@@ -14,6 +14,7 @@ import struct
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_planner import ReferenceScheduler
 
 from repro.core.hybrid_scheduler import HybridScheduler, SchedulerConfig
 from repro.core.tasks import LayerCostOracle
@@ -157,21 +158,17 @@ class TestMemoExactness:
             kind = data.draw(
                 st.sampled_from(["screen", "with", "bounds", "makespan", "plan"])
             )
+            layer_args = (activated, cached, n_tokens, spilled, disk)
             if kind == "screen":
-                args = (activated, cached, n_tokens, queried)
-                call = "quick_screen"
-                kwargs = dict(spilled=spilled, disk_fetch_s=disk)
+                def call(scheduler):
+                    return scheduler.quick_layer(*layer_args).screen(queried)
             elif kind == "with":
-                args = (activated, cached, n_tokens, queried)
-                call = "quick_makespans_with"
-                kwargs = dict(spilled=spilled, disk_fetch_s=disk)
+                def call(scheduler):
+                    return scheduler.quick_layer(*layer_args).makespans_with(queried)
             elif kind == "bounds":
-                args = (activated, cached, n_tokens, queried)
-                call = "quick_makespan_lower_bounds"
-                kwargs = dict(spilled=spilled, disk_fetch_s=disk)
+                def call(scheduler):
+                    return scheduler.quick_layer(*layer_args).lower_bounds(queried)
             elif kind == "makespan":
-                args = (activated, cached, n_tokens)
-                call = "simulate_makespan"
                 inflight = {e: 1.0 + 0.5 * i for i, e in enumerate(sorted(cached))}
                 kwargs = dict(
                     quick=data.draw(st.booleans()),
@@ -180,17 +177,26 @@ class TestMemoExactness:
                     inflight=inflight if data.draw(st.booleans()) else None,
                     pcie_backlog=data.draw(st.sampled_from([0.0, 1.5])),
                 )
+
+                def call(scheduler):
+                    return scheduler.simulate_makespan(
+                        activated, cached, n_tokens, **kwargs
+                    )
             else:
-                args = (data.draw(st.integers(0, 1)), activated, cached, n_tokens)
-                call = "plan"
-                kwargs = dict(spilled=spilled, disk_fetch_s=disk)
-            got = getattr(memo, call)(*args, **kwargs)
-            want = getattr(plain, call)(*args, **kwargs)
+                layer = data.draw(st.integers(0, 1))
+
+                def call(scheduler):
+                    return scheduler.plan(
+                        layer, activated, cached, n_tokens,
+                        spilled=spilled, disk_fetch_s=disk,
+                    )
+            got = call(memo)
+            want = call(plain)
             if kind == "plan":
                 assert got == want
                 assert _bits(got.estimated_makespan) == _bits(want.estimated_makespan)
             else:
-                assert _bits(got) == _bits(want), (call, args, kwargs)
+                assert _bits(got) == _bits(want), (kind, layer_args, queried)
         assert memo.cache_info()["hits"] + memo.cache_info()["misses"] == n_calls
         assert plain.cache_info()["hits"] == plain.cache_info()["misses"] == 0
 
@@ -202,31 +208,31 @@ class TestRelabelledHits:
 
     def test_relabelled_screen_hits_and_answers_in_caller_ids(self):
         scheduler, plain = self._pair()
-        first = scheduler.quick_screen([(0, 3), (1, 1), (2, 1)], {0}, 1, [1, 2])
+        first = scheduler.quick_layer([(0, 3), (1, 1), (2, 1)], {0}, 1).screen([1, 2])
         assert scheduler.cache_info()["hits"] == 0
         activated = [(12, 1), (30, 3), (11, 1)]  # same ranked shape
-        second = scheduler.quick_screen(activated, {30}, 1, [12, 11])
+        second = scheduler.quick_layer(activated, {30}, 1).screen([12, 11])
         assert scheduler.cache_info()["hits"] == 1
         base, bounds = second
         assert list(bounds) == [12, 11]  # the caller's ids, in its order
-        assert second == plain.quick_screen(activated, {30}, 1, [12, 11])
+        assert second == plain.quick_layer(activated, {30}, 1).screen([12, 11])
         # Rank 1 is (load 1, id 11), rank 2 is (load 1, id 12).
         assert bounds == {11: first[1][1], 12: first[1][2]}
         assert base == first[0]
 
     def test_relabelled_makespans_with_hit(self):
         scheduler, plain = self._pair()
-        scheduler.quick_makespans_with([(0, 2), (1, 1)], set(), 4, [0, 1, 7])
+        scheduler.quick_layer([(0, 2), (1, 1)], set(), 4).makespans_with([0, 1, 7])
         activated = [(5, 1), (9, 2)]
-        got = scheduler.quick_makespans_with(activated, set(), 4, [9, 5, 3])
+        got = scheduler.quick_layer(activated, set(), 4).makespans_with([9, 5, 3])
         assert scheduler.cache_info()["hits"] == 1
         assert list(got) == [9, 5, 3]
-        assert got == plain.quick_makespans_with(activated, set(), 4, [9, 5, 3])
+        assert got == plain.quick_layer(activated, set(), 4).makespans_with([9, 5, 3])
 
     def test_flags_and_outside_candidates_are_part_of_the_key(self):
         scheduler, _ = self._pair()
         activated = [(0, 2), (1, 1)]
-        scheduler.quick_screen(activated, set(), 1, [0, 1])
+        scheduler.quick_layer(activated, set(), 1).screen([0, 1])
         variants = [
             ([(4, 2), (5, 1)], {5}, [4, 5], None),  # cached flag differs
             ([(4, 2), (5, 1)], set(), [4, 5], frozenset({4})),  # spilled
@@ -234,32 +240,34 @@ class TestRelabelledHits:
             ([(4, 2), (5, 1)], set(), [4, 5, 9], None),  # outside candidate
         ]
         for activated_v, cached_v, candidates_v, spilled_v in variants:
-            scheduler.quick_screen(
-                activated_v, cached_v, 1, candidates_v, spilled=spilled_v,
+            scheduler.quick_layer(
+                activated_v, cached_v, 1, spilled=spilled_v,
                 disk_fetch_s=1.0 if spilled_v else 0.0,
-            )
+            ).screen(candidates_v)
         assert scheduler.cache_info()["hits"] == 0
         # Which outside id is queried, and how many, does not matter.
-        scheduler.quick_screen([(4, 2), (5, 1)], set(), 1, [4, 8, 5, 2])
+        scheduler.quick_layer([(4, 2), (5, 1)], set(), 1).screen([4, 8, 5, 2])
         assert scheduler.cache_info()["hits"] == 1
 
     def test_spilled_flag_is_part_of_the_key(self):
         scheduler, plain = self._pair()
         activated = [(0, 2), (1, 1), (2, 1)]
-        scheduler.quick_screen(activated, set(), 4, [0], disk_fetch_s=DISK_FETCH)
+        scheduler.quick_layer(activated, set(), 4, disk_fetch_s=DISK_FETCH).screen([0])
         relabelled = [(5, 2), (6, 1), (7, 1)]
-        got = scheduler.quick_screen(
-            relabelled, set(), 4, [5], spilled={7}, disk_fetch_s=DISK_FETCH
-        )
+        got = scheduler.quick_layer(
+            relabelled, set(), 4, spilled={7}, disk_fetch_s=DISK_FETCH
+        ).screen([5])
         assert scheduler.cache_info()["hits"] == 0
-        assert got == plain.quick_screen(
-            relabelled, set(), 4, [5], spilled={7}, disk_fetch_s=DISK_FETCH
-        )
+        assert got == plain.quick_layer(
+            relabelled, set(), 4, spilled={7}, disk_fetch_s=DISK_FETCH
+        ).screen([5])
         # A spilled expert that is cached is not spilled in effect.
-        scheduler.quick_screen(
-            relabelled, {7}, 4, [5], spilled={7}, disk_fetch_s=DISK_FETCH
-        )
-        scheduler.quick_screen([(0, 2), (1, 1), (2, 1)], {2}, 4, [0], disk_fetch_s=DISK_FETCH)
+        scheduler.quick_layer(
+            relabelled, {7}, 4, spilled={7}, disk_fetch_s=DISK_FETCH
+        ).screen([5])
+        scheduler.quick_layer(
+            [(0, 2), (1, 1), (2, 1)], {2}, 4, disk_fetch_s=DISK_FETCH
+        ).screen([0])
         assert scheduler.cache_info()["hits"] == 1
 
     def test_makespan_key_covers_inflight_and_backlogs(self):
@@ -287,26 +295,26 @@ class TestRelabelledHits:
     def test_plan_and_screening_lrus_are_separate(self):
         cost = _Cost(2.0, 0.0, 1.5, 3.0, 0.0)
         scheduler = _scheduler(cost, 2)
-        scheduler.quick_screen([(0, 1)], set(), 1, [0])
+        scheduler.quick_layer([(0, 1)], set(), 1).screen([0])
         for expert in range(5):
             scheduler.plan(0, [(expert, 1)], set(), n_tokens=1)
         # Plans filled their own LRU; the screening entry survived.
         assert scheduler.cache_info()["size"] == 3
-        scheduler.quick_screen([(7, 1)], set(), 1, [7])
+        scheduler.quick_layer([(7, 1)], set(), 1).screen([7])
         assert scheduler.cache_info()["hits"] == 1
 
-    def test_quick_layer_answers_match_the_scheduler_calls(self):
-        scheduler, plain = self._pair()
+    def test_quick_layer_answers_match_the_reference(self):
+        """Batched, rank-filtered answers equal the reference planner's
+        per-candidate ones: from-scratch makespans with each expert
+        cached, and the whole-layer bound of each with-expert layer."""
+        scheduler, _ = self._pair()
+        reference = ReferenceScheduler(scheduler._oracle_factory)
         activated = [(3, 2), (1, 2), (6, 1), (2, 1)]
         cached = {1}
         layer = scheduler.quick_layer(activated, cached, 4, frozenset({6}), 2.0)
-        assert layer.screen([3, 6, 2]) == plain.quick_screen(
-            activated, cached, 4, [3, 6, 2], spilled=frozenset({6}), disk_fetch_s=2.0
+        ref_layer = reference.quick_layer(activated, cached, 4, frozenset({6}), 2.0)
+        assert _bits(layer.screen([3, 6, 2])) == _bits(ref_layer.screen([3, 6, 2]))
+        assert _bits(layer.makespans_with([6, 2])) == _bits(ref_layer.makespans_with([6, 2]))
+        assert _bits(layer.lower_bounds([3, 6, 2])) == _bits(
+            ref_layer.lower_bounds([3, 6, 2])
         )
-        assert layer.makespans_with([6, 2]) == plain.quick_makespans_with(
-            activated, cached, 4, [6, 2], spilled=frozenset({6}), disk_fetch_s=2.0
-        )
-        for expert in (3, 6, 2):
-            assert layer.lower_bounds([expert])[expert] == plain.quick_makespan_lower_bound(
-                activated, cached | {expert}, 4, spilled=frozenset({6}), disk_fetch_s=2.0
-            )

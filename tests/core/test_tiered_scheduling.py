@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_planner import ReferenceScheduler
 
 from repro.core.executor import execute_plan
 from repro.core.hybrid_scheduler import HybridScheduler, SchedulerConfig
@@ -139,12 +140,8 @@ class TestFastPathEquivalence:
     def test_fast_matches_reference_with_spill(self, case):
         activated, cached, spilled, disk_fetch, backlog = case
         factory = _property_oracle_factory()
-        fast = HybridScheduler(
-            factory, SchedulerConfig(fast_path=True, plan_cache_size=0)
-        )
-        reference = HybridScheduler(
-            factory, SchedulerConfig(fast_path=False, plan_cache_size=0)
-        )
+        fast = HybridScheduler(factory, SchedulerConfig(plan_cache_size=0))
+        reference = ReferenceScheduler(factory)
         kwargs = dict(
             n_tokens=4,
             pcie_backlog=backlog,
@@ -166,9 +163,9 @@ class TestFastPathEquivalence:
     def test_lower_bound_stays_below_quick(self, case):
         activated, cached, spilled, disk_fetch, _ = case
         scheduler = HybridScheduler(_property_oracle_factory())
-        bound = scheduler.quick_makespan_lower_bound(
+        bound = scheduler.quick_layer(
             activated, cached, n_tokens=4, spilled=spilled, disk_fetch_s=disk_fetch
-        )
+        )._bound(None)
         quick = scheduler.simulate_makespan(
             activated,
             cached,

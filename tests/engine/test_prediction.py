@@ -160,24 +160,3 @@ class TestGateFires:
             tiny_config, "hybrimoe", predictor="transition", confidence_gate=0.05
         )
         assert engine.runtime.prefetch_hit_rate() == 0.0
-
-
-class TestScreenPredictionBatch:
-    def test_batch_equals_per_call_screen(self, tiny_config):
-        """The batched screen must be float-equal to the scalar calls."""
-        engine = build_engine(tiny_config, "hybrimoe")
-        run(engine)
-        scheduler = engine.runtime.scheduler
-        items = [
-            ([(0, 1), (1, 1)], {0}, 1, [2, 3], frozenset()),
-            ([(2, 1), (3, 1)], set(), 1, [0], frozenset({3})),
-            ([(1, 4)], {1, 2}, 4, [], frozenset()),
-        ]
-        batched = scheduler.screen_prediction_batch(items, disk_fetch_s=0.5)
-        for item, got in zip(items, batched):
-            activated, cached, n_tokens, candidates, spilled = item
-            want = scheduler.quick_screen(
-                activated, cached, n_tokens, candidates,
-                spilled=spilled, disk_fetch_s=0.5,
-            )
-            assert got == want

@@ -58,6 +58,13 @@ class TestEngineSpec:
         with pytest.raises(ConfigError, match="unknown EngineSpec keys"):
             EngineSpec.from_dict({"modle": "deepseek"})
 
+    @pytest.mark.parametrize("key", ["engine_fast_path", "planner_fast_path"])
+    def test_retired_path_toggles_are_unknown_keys(self, key):
+        """Specs saved before the engine had a single code path carry
+        these keys; they fail loudly instead of being ignored."""
+        with pytest.raises(ConfigError, match=f"unknown EngineSpec keys: {key}"):
+            EngineSpec.from_dict({**EngineSpec().to_dict(), key: True})
+
     def test_spec_is_hashable(self):
         assert len({EngineSpec(), EngineSpec(), EngineSpec(seed=1)}) == 2
 

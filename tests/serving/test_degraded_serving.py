@@ -4,7 +4,7 @@ The transparency suite is the acceptance criterion of the sub-replica
 fault work: a :class:`~repro.hardware.faults.HardwareFaultSchedule`
 whose windows never cover the run must leave the serving report
 **bit-identical** to running with no schedule at all — for every
-strategy, on both the fast and reference planner paths. The degradation
+strategy. The degradation
 hook threads through the cost models, scheduler memos and prefetchers
 of each strategy, so this is the test that proves the neutral path
 applies no arithmetic anywhere.
@@ -27,7 +27,7 @@ ARRIVALS = [0.0, 0.02, 0.04, 0.3, 0.32, 0.6]
 STRATEGIES = ("adapmoe", "hybrimoe", "ktransformers", "llamacpp", "ondemand")
 
 
-def _engine(strategy="hybrimoe", planner_fast_path=True, **knobs):
+def _engine(strategy="hybrimoe", **knobs):
     knobs.setdefault("max_batch_size", 3)
     return make_serving_engine(
         model=MODEL,
@@ -35,7 +35,6 @@ def _engine(strategy="hybrimoe", planner_fast_path=True, **knobs):
         cache_ratio=0.5,
         num_layers=NUM_LAYERS,
         seed=0,
-        planner_fast_path=planner_fast_path,
         **knobs,
     )
 
@@ -71,15 +70,10 @@ def _far_schedule(last_finish):
 
 class TestScheduleTransparency:
     @pytest.mark.parametrize("strategy", STRATEGIES)
-    @pytest.mark.parametrize(
-        "planner_fast_path", [True, False], ids=["fast", "reference"]
-    )
-    def test_unfired_schedule_bit_identical(self, strategy, planner_fast_path):
-        baseline = _engine(strategy, planner_fast_path).serve_trace(_trace())
+    def test_unfired_schedule_bit_identical(self, strategy):
+        baseline = _engine(strategy).serve_trace(_trace())
         schedule = _far_schedule(baseline.last_finish)
-        shadowed = _engine(
-            strategy, planner_fast_path, hardware_faults=schedule
-        ).serve_trace(_trace())
+        shadowed = _engine(strategy, hardware_faults=schedule).serve_trace(_trace())
         assert shadowed.requests == baseline.requests
         assert shadowed.degradations == []
         assert shadowed.total_hits == baseline.total_hits

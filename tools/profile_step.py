@@ -4,14 +4,12 @@ Runs a canned decode stream through the engine under :mod:`cProfile`
 and prints the top cumulative-time functions — the first stop when a
 step-latency regression shows up in ``BENCH_planner.json``'s
 ``end_to_end`` block (see ``docs/BENCHMARKS.md``). The default
-scenario matches the benchmark's engine fast-path scenario, so numbers
-line up with the committed trajectory; ``--engine reference`` profiles
-the reference engine core instead for a side-by-side.
+scenario matches the benchmark's engine scenario, so numbers line up
+with the committed trajectory.
 
 Usage::
 
-    python tools/profile_step.py                       # fast path, top 20
-    python tools/profile_step.py --engine reference    # reference core
+    python tools/profile_step.py                       # top 20
     python tools/profile_step.py --steps 128 --top 40
     python tools/profile_step.py --sort tottime
 """
@@ -32,7 +30,6 @@ from repro.engine.factory import make_engine  # noqa: E402
 
 
 def profile_decode(
-    engine_fast_path: bool,
     model: str,
     strategy: str,
     num_layers: int,
@@ -46,8 +43,6 @@ def profile_decode(
         cache_ratio=cache_ratio,
         num_layers=num_layers,
         seed=seed,
-        planner_fast_path=True,
-        engine_fast_path=engine_fast_path,
     )
     profiler = cProfile.Profile()
     start = time.perf_counter()
@@ -86,40 +81,32 @@ def profile_report(
     top: int = 20,
     sort: str = "cumulative",
 ) -> dict:
-    """Profile fast and reference engine cores; return a structured report.
+    """Profile a decode run; return a structured report.
 
-    One entry per engine core, each with the wall time, derived step
-    rate and the hottest ``top`` functions — the machine-readable
-    counterpart of ``main``'s printed output, used by the smoke test
-    and available to tooling.
+    The wall time, derived step rate and the hottest ``top`` functions
+    — the machine-readable counterpart of ``main``'s printed output,
+    used by the smoke test and available to tooling.
     """
-    report: dict = {"steps": steps, "model": model, "strategy": strategy}
-    for label, fast in (("fast", True), ("reference", False)):
-        profiler, elapsed = profile_decode(
-            engine_fast_path=fast,
-            model=model,
-            strategy=strategy,
-            num_layers=num_layers,
-            cache_ratio=cache_ratio,
-            steps=steps,
-            seed=seed,
-        )
-        report[label] = {
-            "elapsed_s": elapsed,
-            "steps_per_s": steps / elapsed if elapsed > 0 else float("inf"),
-            "top": _top_rows(profiler, top, sort),
-        }
-    return report
+    profiler, elapsed = profile_decode(
+        model=model,
+        strategy=strategy,
+        num_layers=num_layers,
+        cache_ratio=cache_ratio,
+        steps=steps,
+        seed=seed,
+    )
+    return {
+        "steps": steps,
+        "model": model,
+        "strategy": strategy,
+        "elapsed_s": elapsed,
+        "steps_per_s": steps / elapsed if elapsed > 0 else float("inf"),
+        "top": _top_rows(profiler, top, sort),
+    }
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument(
-        "--engine",
-        choices=["fast", "reference"],
-        default="fast",
-        help="engine core to profile (EngineConfig.engine_fast_path)",
-    )
     parser.add_argument("--model", default="deepseek")
     parser.add_argument("--strategy", default="hybrimoe")
     parser.add_argument("--num-layers", type=int, default=8)
@@ -138,7 +125,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     profiler, elapsed = profile_decode(
-        engine_fast_path=args.engine == "fast",
         model=args.model,
         strategy=args.strategy,
         num_layers=args.num_layers,
@@ -147,7 +133,7 @@ def main(argv=None) -> int:
         seed=args.seed,
     )
     print(
-        f"{args.engine} engine: {args.steps} decode steps of "
+        f"{args.steps} decode steps of "
         f"{args.model} L{args.num_layers} r{args.cache_ratio} in "
         f"{elapsed:.3f}s ({args.steps / elapsed:.1f} steps/s)"
     )
