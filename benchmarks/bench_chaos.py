@@ -47,7 +47,10 @@ sys.path.insert(0, str(REPO_ROOT / "tools"))
 
 from chaos import CampaignSpec, run_campaign  # noqa: E402
 
-from repro.hardware.faults import HARDWARE_FAULT_KINDS  # noqa: E402
+from repro.hardware.faults import (  # noqa: E402
+    HARDWARE_FAULT_KINDS,
+    REPLICA_FAULT_KINDS,
+)
 
 BASELINE_PATH = REPO_ROOT / "BENCH_chaos.json"
 SCHEMA_VERSION = 1
@@ -94,8 +97,7 @@ SMOKE = {
 
 
 def _campaign_record(result) -> dict:
-    hardware = result.hardware_faults or ()
-    schedule = result.fault_schedule or ()
+    faults = result.faults or ()
     merged = result.report.merged
     return {
         "seed": result.spec.seed,
@@ -104,8 +106,12 @@ def _campaign_record(result) -> dict:
         "outcomes": result.outcome_counts(),
         "retries": merged.num_retries,
         "failovers": result.report.num_failovers,
-        "replica_fault_kinds": sorted({f.kind for f in schedule}),
-        "hardware_fault_kinds": sorted({f.kind for f in hardware}),
+        "replica_fault_kinds": sorted(
+            {f.kind for f in faults if f.kind in REPLICA_FAULT_KINDS}
+        ),
+        "hardware_fault_kinds": sorted(
+            {f.kind for f in faults if f.kind in HARDWARE_FAULT_KINDS}
+        ),
         "degradation_events": sum(
             len(rep.degradations) for _, rep in result.report.per_replica
         ),

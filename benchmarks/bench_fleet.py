@@ -49,8 +49,8 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.engine.factory import make_fleet  # noqa: E402
 from repro.fleet.autoscale import AutoscaleConfig  # noqa: E402
-from repro.fleet.faults import FaultSchedule, ReplicaFault  # noqa: E402
 from repro.fleet.router import available_routers  # noqa: E402
+from repro.hardware.faults import Fault, FaultSchedule  # noqa: E402
 from repro.workloads.generator import (  # noqa: E402
     bursty_arrivals,
     poisson_arrivals,
@@ -203,7 +203,7 @@ def _bench_skewed(smoke: bool) -> dict:
 # scenario: failover (crash mid-burst)
 # ----------------------------------------------------------------------
 
-def _failover_fleet(fault_schedule=None):
+def _failover_fleet(faults=None):
     p = FAILOVER
     return make_fleet(
         model=p["model"],
@@ -214,7 +214,7 @@ def _failover_fleet(fault_schedule=None):
         max_batch_size=p["max_batch_size"],
         replicas=p["replicas"],
         router="round_robin",
-        fault_schedule=fault_schedule,
+        faults=faults,
     )
 
 
@@ -232,7 +232,7 @@ def run_failover() -> dict:
 
     clean = _failover_fleet().serve_trace(trace())
     crash_at = clean.merged.first_arrival + clean.merged.makespan / 2
-    schedule = FaultSchedule([ReplicaFault(replica=0, at_time=crash_at)])
+    schedule = FaultSchedule([Fault("crash", replica=0, at_time=crash_at)])
     crashed = _failover_fleet(schedule).serve_trace(trace())
     return {
         "params": {**p, "crash_at": crash_at},

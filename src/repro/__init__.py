@@ -65,12 +65,11 @@ from repro.engine import (
 )
 from repro.fleet import (
     AutoscaleConfig,
-    FaultSchedule,
     FleetReport,
     FleetRouter,
-    ReplicaFault,
     available_routers,
 )
+from repro.hardware import Fault, FaultSchedule
 from repro.serving import Request, ServingConfig, ServingEngine
 from repro.errors import (
     CacheError,
@@ -119,8 +118,8 @@ __all__ = [
     "ServingEngine",
     "FleetRouter",
     "FleetReport",
+    "Fault",
     "FaultSchedule",
-    "ReplicaFault",
     "AutoscaleConfig",
     "ServingConfig",
     "ServingReport",

@@ -41,12 +41,12 @@ from repro.errors import ConfigError
 from repro.experiments import figures
 from repro.experiments.reporting import add_speedup_column, format_table
 from repro.experiments.runner import run_workload
-from repro.fleet.faults import FaultSchedule, ReplicaFault
 from repro.fleet.router import available_routers
 from repro.hardware.faults import (
     HARDWARE_FAULT_KINDS,
-    HardwareFault,
-    HardwareFaultSchedule,
+    REPLICA_FAULT_KINDS,
+    Fault,
+    FaultSchedule,
 )
 from repro.hardware.platform_presets import HARDWARE_PRESETS
 from repro.models.presets import MODEL_PRESETS, get_preset
@@ -458,77 +458,35 @@ def _serve_arrivals(args: argparse.Namespace) -> tuple[list[float] | None, float
     return None, args.arrival_rate
 
 
-def _parse_fault_spec(
-    text: str | None,
-) -> tuple[FaultSchedule | None, HardwareFaultSchedule | None]:
-    """Parse ``--fault-spec`` into (replica, hardware) fault schedules.
+def _parse_fault_spec(text: str | None) -> FaultSchedule | None:
+    """Parse ``--fault-spec`` into a fault schedule.
 
     Grammar per comma-separated entry:
     ``kind:replica:at[:duration[:severity]]`` — ``crash`` takes no
     duration, ``slow`` takes exactly a duration, the hardware kinds
     take a duration and (``link_degrade``/``gpu_straggler``) a
-    severity.
+    severity. :class:`~repro.hardware.faults.Fault` validates each
+    entry against its kind.
     """
     if text is None:
-        return None, None
-    replica_faults: list[ReplicaFault] = []
-    hardware_faults: list[HardwareFault] = []
+        return None
+    faults: list[Fault] = []
     for part in text.split(","):
         fields = [f.strip() for f in part.strip().split(":")]
-        if len(fields) < 3:
+        if not 3 <= len(fields) <= 5:
             raise ConfigError(
                 f"bad --fault-spec entry {part.strip()!r}; expected "
                 f"kind:replica:at[:duration[:severity]]"
             )
-        kind = fields[0]
         try:
             replica = int(fields[1])
-            at_time = float(fields[2])
-            rest = [float(f) for f in fields[3:]]
+            values = [float(f) for f in fields[2:]]
         except ValueError:
             raise ConfigError(
                 f"bad --fault-spec numbers in {part.strip()!r}"
             ) from None
-        if kind == "crash":
-            if rest:
-                raise ConfigError(
-                    f"crash faults take no duration/severity: {part.strip()!r}"
-                )
-            replica_faults.append(
-                ReplicaFault(replica=replica, at_time=at_time, kind="crash")
-            )
-        elif kind == "slow":
-            if len(rest) != 1:
-                raise ConfigError(
-                    f"slow faults need exactly a duration: {part.strip()!r}"
-                )
-            replica_faults.append(
-                ReplicaFault(
-                    replica=replica, at_time=at_time, kind="slow", duration=rest[0]
-                )
-            )
-        elif kind in HARDWARE_FAULT_KINDS:
-            if not 1 <= len(rest) <= 2:
-                raise ConfigError(
-                    f"hardware faults need a duration and optionally a "
-                    f"severity: {part.strip()!r}"
-                )
-            hardware_faults.append(
-                HardwareFault(
-                    kind=kind,
-                    at_time=at_time,
-                    duration=rest[0],
-                    severity=rest[1] if len(rest) == 2 else 1.0,
-                    replica=replica,
-                )
-            )
-        else:
-            known = "crash, slow, " + ", ".join(HARDWARE_FAULT_KINDS)
-            raise ConfigError(f"unknown fault kind {kind!r} (known: {known})")
-    return (
-        FaultSchedule(replica_faults) if replica_faults else None,
-        HardwareFaultSchedule(hardware_faults) if hardware_faults else None,
-    )
+        faults.append(Fault(fields[0], replica, *values))
+    return FaultSchedule(faults)
 
 
 def _parse_shed(text: str | None) -> tuple[int | None, int | None]:
@@ -548,7 +506,7 @@ def _parse_shed(text: str | None) -> tuple[int | None, int | None]:
 
 def _cmd_serve_fleet(args: argparse.Namespace) -> int:
     """``serve --replicas M``: route the trace through a replica fleet."""
-    fault_schedule, hardware_faults = _parse_fault_spec(args.fault_spec)
+    faults = _parse_fault_spec(args.fault_spec)
     shed_depth, shed_resume = _parse_shed(args.shed)
     fleet = make_fleet(
         model=args.model,
@@ -573,8 +531,7 @@ def _cmd_serve_fleet(args: argparse.Namespace) -> int:
         request_timeout_s=args.request_timeout,
         shed_queue_depth=shed_depth,
         shed_resume_depth=shed_resume,
-        fault_schedule=fault_schedule,
-        hardware_faults=hardware_faults,
+        faults=faults,
         max_retries=args.max_retries,
         retry_backoff_s=args.retry_backoff,
     )
@@ -615,16 +572,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         raise ConfigError(f"--replicas must be >= 1, got {args.replicas}")
     if args.replicas > 1:
         return _cmd_serve_fleet(args)
-    fault_schedule, hardware_faults = _parse_fault_spec(args.fault_spec)
-    if fault_schedule is not None:
-        raise ConfigError(
-            "crash/slow faults are replica faults; they need --replicas > 1"
-        )
-    if hardware_faults is not None and any(
-        f.replica != 0 for f in hardware_faults
+    faults = _parse_fault_spec(args.fault_spec)
+    if faults is not None and any(
+        f.kind in REPLICA_FAULT_KINDS or f.replica != 0 for f in faults
     ):
         raise ConfigError(
-            "hardware faults on replica != 0 need --replicas > 1"
+            "crash/slow faults and faults on replica != 0 need --replicas > 1"
         )
     if args.max_retries > 0:
         raise ConfigError(
@@ -653,7 +606,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         request_timeout_s=args.request_timeout,
         shed_queue_depth=shed_depth,
         shed_resume_depth=shed_resume,
-        hardware_faults=hardware_faults,
+        faults=faults,
     )
     arrival_times, arrival_rate = _serve_arrivals(args)
     trace = serving_workload(

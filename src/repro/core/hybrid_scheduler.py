@@ -110,10 +110,6 @@ class SchedulerConfig:
     allow_cpu_steal:
         Allow an idle CPU to take low-load *cached* experts from the
         GPU queue (the paper's CPU priority rule, second clause).
-    steal_margin:
-        Fractional safety margin on the steal-benefit test; a steal
-        happens only if the CPU would finish the stolen expert before
-        ``(1 - margin) *`` the GPU's estimated finish time.
     max_search_width:
         Upper bound on the number of simulated transfer counts (nested
         dyadic subsampling, always including both extremes; widening
@@ -127,15 +123,10 @@ class SchedulerConfig:
 
     search_transfers: bool = True
     allow_cpu_steal: bool = True
-    steal_margin: float = 0.0
     max_search_width: int | None = None
     plan_cache_size: int = 1024
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.steal_margin < 1.0:
-            raise SchedulingError(
-                f"steal_margin must be in [0, 1), got {self.steal_margin}"
-            )
         if self.max_search_width is not None and self.max_search_width < 2:
             raise SchedulingError(
                 f"max_search_width must be >= 2, got {self.max_search_width}"
@@ -984,7 +975,6 @@ class HybridScheduler:
         cpu_finished = False
         n_cpu_jobs = len(cpu_jobs)
         allow_steal = self.config.allow_cpu_steal
-        steal_factor = 1.0 - self.config.steal_margin
         inf = float("inf")
         gpu_log, cpu_log, steal_log = log if log is not None else (None, None, None)
 
@@ -1056,7 +1046,7 @@ class HybridScheduler:
                     for index in range(arrival_idx, n_arrivals):
                         ready, pending = arrivals[index]
                         gpu_finish = max(gpu_finish, ready) + gpu[pending]
-                    if t_cpu + duration >= gpu_finish * steal_factor:
+                    if t_cpu + duration >= gpu_finish:
                         cpu_finished = True
                         continue
                     gpu_pool.remove(rank)

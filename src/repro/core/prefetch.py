@@ -29,12 +29,6 @@ cut that down without changing a single decision at default settings:
   and exact simulations the scheduler memoizes under relabel-invariant
   keys. Decode steps keep predicting layers with the same load and
   residency pattern, so most layers are cache hits.
-
-``exact_top_m`` additionally caps how many screening survivors get the
-full simulation (best screening bound first). That is an *approximation*
-— survivors beyond the cap are dropped — so it is off (``None``) by
-default and exists for latency-critical deployments that accept small
-decision drift.
 """
 
 from __future__ import annotations
@@ -122,10 +116,6 @@ class ImpactDrivenPrefetcher:
         Screen candidates with the cheap delta bound before paying for
         an exact impact simulation. Decision-preserving (the bound is
         one-sided); disable only to benchmark the unscreened path.
-    exact_top_m:
-        When set, at most this many screening survivors (best bound
-        first) receive the exact simulation; the rest are dropped. An
-        approximation knob — ``None`` (default) keeps decisions exact.
     disk_fetch_s:
         Estimated disk -> DRAM read time per spilled expert (tiered
         platforms; 0 keeps the two-tier behaviour). Impact simulations
@@ -142,7 +132,6 @@ class ImpactDrivenPrefetcher:
         confidence_decay: float = 0.8,
         min_gain: float = 0.0,
         delta_screen: bool = True,
-        exact_top_m: int | None = None,
         disk_fetch_s: float = 0.0,
     ) -> None:
         if lookahead < 1:
@@ -153,11 +142,6 @@ class ImpactDrivenPrefetcher:
             )
         if num_activated < 1:
             raise SchedulingError(f"num_activated must be >= 1, got {num_activated}")
-        if exact_top_m is not None:
-            if exact_top_m < 1:
-                raise SchedulingError(f"exact_top_m must be >= 1, got {exact_top_m}")
-            if not delta_screen:
-                raise SchedulingError("exact_top_m requires delta_screen=True")
         if disk_fetch_s < 0:
             raise SchedulingError(
                 f"disk_fetch_s must be non-negative, got {disk_fetch_s}"
@@ -169,7 +153,6 @@ class ImpactDrivenPrefetcher:
         self.confidence_decay = confidence_decay
         self.min_gain = min_gain
         self.delta_screen = delta_screen
-        self.exact_top_m = exact_top_m
         self.disk_fetch_s = disk_fetch_s
 
     # ------------------------------------------------------------------
@@ -280,25 +263,19 @@ class ImpactDrivenPrefetcher:
         ``(base - lower_bound(with-expert makespan)) * confidence``.
         A candidate is dropped only when even that bound cannot exceed
         ``min_gain`` — the exact path would have dropped it too, so the
-        surviving set yields bit-identical decisions. ``exact_top_m``
-        then optionally caps the survivors (approximation, off by
-        default). ``bounds`` holds each candidate's screening bound
+        surviving set yields bit-identical decisions. ``bounds`` holds
+        each candidate's screening bound
         (:meth:`~repro.core.hybrid_scheduler.QuickLayer.screen`).
+        Candidate order is preserved so the exact evaluation sequence
+        matches the unscreened path.
         """
         if not self.delta_screen:
             return list(candidates)
-        scored: list[tuple[float, int]] = []
-        for expert in candidates:
-            gain_bound = (base - bounds[expert]) * confidence
-            if gain_bound > self.min_gain:
-                scored.append((gain_bound, expert))
-        if self.exact_top_m is not None and len(scored) > self.exact_top_m:
-            scored.sort(key=lambda pair: (-pair[0], pair[1]))
-            scored = scored[: self.exact_top_m]
-        # Original candidate order is preserved so the exact evaluation
-        # sequence matches the unscreened path.
-        keep = {expert for _, expert in scored}
-        return [expert for expert in candidates if expert in keep]
+        return [
+            expert
+            for expert in candidates
+            if (base - bounds[expert]) * confidence > self.min_gain
+        ]
 
     def select(
         self,

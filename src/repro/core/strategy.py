@@ -32,6 +32,11 @@ from repro.engine.strategy_base import LayerContext, Strategy
 
 __all__ = ["HybriMoEStrategy"]
 
+#: Admission margin a speculative prefetch must clear against the MRS
+#: resident it would evict, so prediction-driven inserts do not churn
+#: residents of nearly equal priority.
+PREFETCH_ADMIT_MARGIN = 0.25
+
 
 class HybriMoEStrategy(Strategy):
     """Hybrid scheduling + impact prefetching + MRS caching (§IV)."""
@@ -41,13 +46,11 @@ class HybriMoEStrategy(Strategy):
         scheduling: bool = True,
         prefetching: bool = True,
         caching: bool = True,
-        prefetch_admit_margin: float = 0.25,
     ) -> None:
         super().__init__()
         self.scheduling = scheduling
         self.prefetching = prefetching
         self.caching = caching
-        self.prefetch_admit_margin = prefetch_admit_margin
         self._prefetcher: ImpactDrivenPrefetcher | None = None
         parts = [
             flag_name
@@ -73,7 +76,6 @@ class HybriMoEStrategy(Strategy):
                 num_activated=runtime.model_config.num_activated_experts,
                 lookahead=runtime.config.prefetch_lookahead,
                 confidence_decay=runtime.config.prefetch_confidence_decay,
-                exact_top_m=runtime.config.prefetch_exact_top_m,
                 disk_fetch_s=runtime.disk_fetch_est_s,
             )
 
@@ -228,15 +230,13 @@ class HybriMoEStrategy(Strategy):
             return [(d.layer, d.expert) for d in decisions]
         # Admission check before paying for the transfer: a prefetch
         # the MRS policy would immediately evict is pure PCIe waste.
-        # The margin keeps speculative (prediction-driven) inserts
-        # from churning residents of nearly equal priority.
         runtime = self._runtime()
         cache = runtime.cache
         requests: list[tuple] = []
         gate = runtime.prediction_gate
         for d in decisions:
             key = (d.layer, d.expert)
-            if cache.would_admit(key, margin=self.prefetch_admit_margin):
+            if cache.would_admit(key, margin=PREFETCH_ADMIT_MARGIN):
                 requests.append((d.layer, d.expert))
             elif runtime.tiered and cache.is_spilled(key):
                 # GPU admission lost, but the expert is on disk and the
@@ -250,7 +250,7 @@ class HybriMoEStrategy(Strategy):
                 margin = 0.0
                 if d.confidence is not None and gate is not None:
                     margin = gate.promotion_margin(
-                        self.prefetch_admit_margin, d.confidence
+                        PREFETCH_ADMIT_MARGIN, d.confidence
                     )
                 if cache.dram_would_admit(key, margin=margin):
                     requests.append((d.layer, d.expert, "dram"))

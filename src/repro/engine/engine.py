@@ -72,15 +72,8 @@ class EngineConfig:
         Per-distance gain discount of the impact-driven prefetcher.
     scheduler:
         Configuration of the hybrid scheduler's search.
-    prefetch_exact_top_m:
-        Cap on how many screening survivors per predicted layer get an
-        exact impact simulation (best delta bound first). ``None``
-        keeps prefetch decisions exact; setting it trades small
-        decision drift for bounded prefetcher latency.
     mrs_alpha:
         Averaging coefficient of the MRS cache policy (eq. 3).
-    validate_plans:
-        Validate every plan against routing/cache state (cheap; keep on).
     num_gpus:
         Simulated GPU devices. With 1 (the paper's testbed) the engine
         runs the historical single-device path; with more, the expert
@@ -138,9 +131,7 @@ class EngineConfig:
     prefetch_lookahead: int = 3
     prefetch_confidence_decay: float = 0.8
     scheduler: SchedulerConfig = field(default_factory=SchedulerConfig)
-    prefetch_exact_top_m: int | None = None
     mrs_alpha: float = 0.7
-    validate_plans: bool = True
     num_gpus: int = 1
     placement: str = "round_robin"
     sharded_cache: bool | None = None
@@ -179,10 +170,6 @@ class EngineConfig:
             )
         if not 0.0 <= self.mrs_alpha <= 1.0:
             raise ConfigError(f"mrs_alpha must be in [0, 1], got {self.mrs_alpha}")
-        if self.prefetch_exact_top_m is not None and self.prefetch_exact_top_m < 1:
-            raise ConfigError(
-                f"prefetch_exact_top_m must be >= 1, got {self.prefetch_exact_top_m}"
-            )
         if self.cpu_cache_capacity is not None and self.cpu_cache_capacity < 0:
             raise ConfigError(
                 f"cpu_cache_capacity must be non-negative, got "
@@ -566,7 +553,7 @@ class InferenceEngine:
         estimate). Applying the neutral state to a never-degraded
         engine is a bit-exact no-op: nothing is invalidated and every
         duration stays byte-identical, which is what keeps an unfired
-        :class:`~repro.hardware.faults.HardwareFaultSchedule`
+        :class:`~repro.hardware.faults.FaultSchedule`
         indistinguishable from no schedule.
         """
         actual: DegradedCostModel = self.runtime.cost_actual

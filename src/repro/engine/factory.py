@@ -237,7 +237,7 @@ def make_serving_engine(
     request_timeout_s: float | None = None,
     shed_queue_depth: int | None = None,
     shed_resume_depth: int | None = None,
-    hardware_faults=None,
+    faults=None,
     serving_config=None,
     engine_config: EngineConfig | None = None,
     strategy_kwargs: dict | None = None,
@@ -268,9 +268,9 @@ def make_serving_engine(
     ``request_timeout_s`` aborts requests past their end-to-end budget
     (terminal status ``TIMED_OUT``); ``shed_queue_depth`` /
     ``shed_resume_depth`` enable overload shedding between the
-    high/low backlog watermarks; ``hardware_faults`` injects a
-    sub-replica :class:`~repro.hardware.faults.HardwareFaultSchedule`
-    (replica-0 windows apply).
+    high/low backlog watermarks; ``faults`` injects a hardware-kind
+    :class:`~repro.hardware.faults.FaultSchedule` (replica-0 windows
+    apply).
     ``cpu_cache_capacity``/``cpu_cache_policy``/``disk_bandwidth``
     configure the tiered memory hierarchy exactly as in
     :func:`make_engine` (the shared serving cache then spans all three
@@ -330,7 +330,7 @@ def make_serving_engine(
             shed_queue_depth=shed_queue_depth,
             shed_resume_depth=shed_resume_depth,
         )
-    return ServingEngine(engine, serving_config, hardware_faults=hardware_faults)
+    return ServingEngine(engine, serving_config, faults=faults)
 
 
 def make_fleet(
@@ -356,9 +356,8 @@ def make_fleet(
     shed_resume_depth: int | None = None,
     replicas: int = 2,
     router: str = "round_robin",
-    fault_schedule=None,
+    faults=None,
     autoscale=None,
-    hardware_faults=None,
     max_retries: int = 0,
     retry_backoff_s: float = 0.5,
     serving_config=None,
@@ -373,8 +372,8 @@ def make_fleet(
     the whole configuration (mutually exclusive with every other
     argument) and feeds the same construction path as the legacy
     keywords — ``make_fleet(spec=s)`` is bit-identical to spelling
-    ``s`` out. Fault/autoscale schedules are live objects, not spec
-    data; inject them via the keyword path.
+    ``s`` out. Fault schedules and autoscale configs are live objects,
+    not spec data; inject them via the keyword path.
 
     Builds a :class:`~repro.fleet.fleet.FleetRouter` whose ``replicas``
     identical replica engines are produced lazily by a
@@ -382,10 +381,10 @@ def make_fleet(
     gets the same model, strategy, hardware, seed and cache
     configuration (a homogeneous pool, required for the merged fleet
     report). ``router`` names the routing policy (``"round_robin"``,
-    ``"least_loaded"`` or ``"cache_affinity"``); ``fault_schedule``
-    injects replica crashes / slow windows, ``hardware_faults``
-    injects sub-replica resource degradation (link / disk / straggler
-    windows), ``max_retries``/``retry_backoff_s`` configure timeout
+    ``"least_loaded"`` or ``"cache_affinity"``); ``faults`` injects
+    replica crashes / slow windows and sub-replica resource
+    degradation (link / disk / straggler windows),
+    ``max_retries``/``retry_backoff_s`` configure timeout
     retry-with-backoff, and ``autoscale`` enables threshold
     autoscaling of the active pool. The per-replica serving knobs
     (``max_batch_size`` / ``prefill_chunk_tokens`` / ``preemption`` /
@@ -476,9 +475,8 @@ def make_fleet(
         replicas=replicas,
         policy=router,
         config=serving_config,
-        fault_schedule=fault_schedule,
+        faults=faults,
         autoscale=autoscale,
-        hardware_faults=hardware_faults,
         max_retries=max_retries,
         retry_backoff_s=retry_backoff_s,
     )

@@ -279,8 +279,7 @@ class StepPipeline:
                 routed_tasks = self._run_sharded_layer(ctx)
             else:
                 plan = self.strategy.plan_layer(ctx)
-                if self.config.validate_plans:
-                    plan.validate(dict(activated), set(cached))
+                plan.validate(dict(activated), set(cached))
 
                 used_keys = {(layer, e) for e, _ in activated if e in cached}
                 used_keys.update((layer, t.expert) for t in plan.transfers)
@@ -435,8 +434,7 @@ class StepPipeline:
                 disk_fetch_s=ctx.disk_fetch_s,
             )
             plan = self.strategy.plan_layer(dev_ctx)
-            if self.config.validate_plans:
-                plan.validate(dict(group), set(cached_dev))
+            plan.validate(dict(group), set(cached_dev))
 
             used_keys = {(layer, e) for e, _ in group if e in cached_dev}
             used_keys.update((layer, t.expert) for t in plan.transfers)

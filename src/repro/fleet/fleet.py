@@ -4,10 +4,11 @@
 identical replica :class:`~repro.engine.engine.InferenceEngine`\\ s
 (each with its own expert cache, hybrid scheduler and simulated
 clock), routes every arriving request to one replica via a pluggable
-:class:`~repro.fleet.router.RoutingPolicy`, injects replica faults
-from a :class:`~repro.fleet.faults.FaultSchedule` (crashes fail work
-over to the survivors; slow windows black replicas out of routing),
-and threshold-autoscales the active pool against the arrival trace.
+:class:`~repro.fleet.router.RoutingPolicy`, injects faults from a
+:class:`~repro.hardware.faults.FaultSchedule` (crashes fail work over
+to the survivors; slow windows black replicas out of routing; hardware
+windows degrade one replica's resources), and threshold-autoscales the
+active pool against the arrival trace.
 
 ## Time and determinism
 
@@ -42,9 +43,8 @@ from repro.engine.engine import InferenceEngine
 from repro.engine.metrics import ServingReport
 from repro.errors import ConfigError, SimulationError
 from repro.fleet.autoscale import AutoscaleConfig, AutoscaleEvent
-from repro.fleet.faults import FaultSchedule, ReplicaFault
 from repro.fleet.router import RoutingPolicy, make_router
-from repro.hardware.faults import HardwareFaultSchedule
+from repro.hardware.faults import Fault, FaultSchedule
 from repro.routing.statistics import predicted_routing_profile
 from repro.serving.engine import requests_from_trace
 from repro.serving.request import Request, RequestStatus
@@ -100,22 +100,22 @@ class Replica:
         config: ServingConfig,
         solo: bool,
         origin: float,
-        hardware_faults: HardwareFaultSchedule | None = None,
+        faults: FaultSchedule | None = None,
     ) -> None:
         """Open a fresh serving session (one per fleet serve).
 
         ``origin`` is the fleet-wide wall clock — shared by every
         replica session of a serve, so trace time means the same thing
         on each replica even when their engine clocks drifted apart
-        over earlier serves. ``hardware_faults`` is this replica's
-        slice of the fleet schedule (already ``for_replica``-filtered).
+        over earlier serves. ``faults`` is this replica's hardware-kind
+        slice of the fleet schedule (see ``FaultSchedule.hardware_for``).
         """
         self.session = ServingSession(
             self.engine,
             config,
             solo=solo,
             origin=origin,
-            hardware_faults=hardware_faults,
+            faults=faults,
             replica_id=self.replica_id,
         )
 
@@ -188,17 +188,16 @@ class FleetRouter:
         :func:`~repro.fleet.router.available_routers`) or instance.
     config:
         Per-replica serving knobs (each session gets the same config).
-    fault_schedule:
-        Scheduled crashes / slow windows; ``None`` injects nothing.
+    faults:
+        Scheduled faults; ``None`` injects nothing. Crashes and slow
+        windows act on routing and failover. Hardware windows (link
+        degradation, disk stalls, GPU stragglers) are applied by each
+        replica session to its own engine at step boundaries, and the
+        router steers new work away from currently-degraded replicas
+        while healthy alternatives exist.
     autoscale:
         Threshold autoscaling config; ``None`` keeps all M replicas
         active for the whole run.
-    hardware_faults:
-        Sub-replica hardware fault schedule (link degradation, disk
-        stalls, GPU stragglers). Each replica session applies its own
-        slice at step boundaries; the router additionally steers new
-        work away from currently-degraded replicas while healthy
-        alternatives exist. ``None`` injects nothing.
     max_retries:
         Retry budget per request for timeout re-submission. A request
         timing out with retries left is re-enqueued (and re-routed like
@@ -217,9 +216,8 @@ class FleetRouter:
         replicas: int = 2,
         policy: str | RoutingPolicy = "round_robin",
         config: ServingConfig | None = None,
-        fault_schedule: FaultSchedule | None = None,
+        faults: FaultSchedule | None = None,
         autoscale: AutoscaleConfig | None = None,
-        hardware_faults: HardwareFaultSchedule | None = None,
         max_retries: int = 0,
         retry_backoff_s: float = 0.5,
     ) -> None:
@@ -240,28 +238,20 @@ class FleetRouter:
             )
         self.config = config or ServingConfig()
         self.policy = make_router(policy) if isinstance(policy, str) else policy
-        self.fault_schedule = fault_schedule or FaultSchedule()
-        for fault in self.fault_schedule:
+        self.faults = faults or FaultSchedule()
+        for fault in self.faults:
             if fault.replica >= replicas:
                 raise ConfigError(
-                    f"fault targets replica {fault.replica} but the pool has "
-                    f"{replicas} replicas"
+                    f"{fault.kind} fault targets replica {fault.replica} but "
+                    f"the pool has {replicas} replicas"
                 )
-        self.hardware_faults = hardware_faults
-        if hardware_faults is not None:
-            for fault in hardware_faults:
-                if fault.replica >= replicas:
-                    raise ConfigError(
-                        f"hardware fault targets replica {fault.replica} but "
-                        f"the pool has {replicas} replicas"
-                    )
         self.max_retries = max_retries
         self.retry_backoff_s = retry_backoff_s
         self.autoscale = autoscale
         self.replicas = [Replica(i, engine_factory) for i in range(replicas)]
         self._profiles: dict[bytes, np.ndarray] = {}
         # Mutable per-serve state, (re)initialised in serve().
-        self._pending_crashes: list[ReplicaFault] = []
+        self._pending_crashes: list[Fault] = []
         self._heap: list[tuple[float, int, Request]] = []
         self._seq = 0
         self._decisions: list[RoutingDecision] = []
@@ -330,11 +320,11 @@ class FleetRouter:
                 self.config,
                 solo,
                 self._origin,
-                self._replica_faults(replica.replica_id),
+                self.faults.hardware_for(replica.replica_id),
             )
             replica.active = True
         self.policy.reset()
-        self._pending_crashes = list(self.fault_schedule.crashes())
+        self._pending_crashes = list(self.faults.crashes())
         self._heap = []
         self._seq = 0
         self._decisions = []
@@ -378,12 +368,6 @@ class FleetRouter:
     # ------------------------------------------------------------------
     # event loop internals
     # ------------------------------------------------------------------
-    def _replica_faults(self, replica_id: int) -> HardwareFaultSchedule | None:
-        """One replica's slice of the hardware fault schedule (or None)."""
-        if self.hardware_faults is None:
-            return None
-        return self.hardware_faults.for_replica(replica_id)
-
     def _push(self, request: Request) -> None:
         """Queue an arrival; the sequence number makes heap order total."""
         heapq.heappush(self._heap, (request.arrival_time, self._seq, request))
@@ -572,19 +556,13 @@ class FleetRouter:
                 replica.active = True
             candidates = live
         healthy = [
-            r
-            for r in candidates
-            if not self.fault_schedule.blacked_out(r.replica_id, t)
+            r for r in candidates if not self.faults.blacked_out(r.replica_id, t)
         ]
         candidates = healthy or candidates
-        if self.hardware_faults is not None:
-            clean = [
-                r
-                for r in candidates
-                if not self.hardware_faults.degraded(r.replica_id, t)
-            ]
-            candidates = clean or candidates
-        return candidates
+        clean = [
+            r for r in candidates if not self.faults.degraded(r.replica_id, t)
+        ]
+        return clean or candidates
 
     def _route(self, request: Request, t: float) -> None:
         """Pick a replica for one arrival and hand the request over."""
@@ -631,7 +609,7 @@ class FleetRouter:
                     self.config,
                     self._solo,
                     self._origin,
-                    self._replica_faults(standby.replica_id),
+                    self.faults.hardware_for(standby.replica_id),
                 )
             standby.active = True
             self._events.append(

@@ -25,11 +25,12 @@ from repro.hardware.cost_model import (
 from repro.hardware.device import ResourceTimeline, TimelineInterval
 from repro.hardware.faults import (
     HARDWARE_FAULT_KINDS,
+    REPLICA_FAULT_KINDS,
     DegradationEvent,
     DegradationState,
     DegradedCostModel,
-    HardwareFault,
-    HardwareFaultSchedule,
+    Fault,
+    FaultSchedule,
 )
 from repro.hardware.platform_presets import (
     HARDWARE_PRESETS,
@@ -49,9 +50,10 @@ __all__ = [
     "FittedCostModel",
     "NoisyCostModel",
     "HardwareProfile",
+    "REPLICA_FAULT_KINDS",
     "HARDWARE_FAULT_KINDS",
-    "HardwareFault",
-    "HardwareFaultSchedule",
+    "Fault",
+    "FaultSchedule",
     "DegradationState",
     "DegradationEvent",
     "DegradedCostModel",

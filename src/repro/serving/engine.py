@@ -45,7 +45,7 @@ from typing import Iterable
 from repro.engine.engine import InferenceEngine
 from repro.engine.metrics import ServingReport
 from repro.errors import ConfigError
-from repro.hardware.faults import HardwareFaultSchedule
+from repro.hardware.faults import REPLICA_FAULT_KINDS, FaultSchedule
 from repro.serving.request import Request
 from repro.serving.scheduler import ServingConfig
 from repro.serving.session import ServingSession
@@ -94,21 +94,29 @@ class ServingEngine:
     config:
         Serving knobs (batch ceiling, decode token source, chunked
         prefill, preemption, timeouts, overload shedding).
-    hardware_faults:
-        Optional sub-replica hardware fault schedule (replica-0 faults
-        apply — a bare engine is its own replica 0). ``None`` (default)
-        injects nothing and is bit-identical to an unfired schedule.
+    faults:
+        Optional hardware fault schedule (replica-0 faults apply — a
+        bare engine is its own replica 0). ``None`` (default) injects
+        nothing and is bit-identical to an unfired schedule. Crash and
+        slow faults need a fleet to fail over to and are rejected.
     """
 
     def __init__(
         self,
         engine: InferenceEngine,
         config: ServingConfig | None = None,
-        hardware_faults: HardwareFaultSchedule | None = None,
+        faults: FaultSchedule | None = None,
     ) -> None:
+        if faults is not None and any(
+            f.kind in REPLICA_FAULT_KINDS for f in faults
+        ):
+            raise ConfigError(
+                "crash/slow faults are replica faults; serve them through a "
+                "fleet (make_fleet)"
+            )
         self.engine = engine
         self.config = config or ServingConfig()
-        self.hardware_faults = hardware_faults
+        self.faults = faults
 
     # ------------------------------------------------------------------
     def serve(self, requests: Iterable[Request]) -> ServingReport:
@@ -132,7 +140,7 @@ class ServingEngine:
             self.engine,
             self.config,
             pending,
-            hardware_faults=self.hardware_faults,
+            faults=self.faults,
         )
         try:
             while session.step():

@@ -33,7 +33,7 @@ from repro.engine.engine import InferenceEngine
 from repro.engine.metrics import GenerationResult, ServingReport, StepMetrics
 from repro.engine.pipeline import SequenceStep
 from repro.errors import ConfigError
-from repro.hardware.faults import DegradationEvent, HardwareFaultSchedule
+from repro.hardware.faults import DegradationEvent, FaultSchedule
 from repro.rng import derive_rng
 from repro.serving.request import Request, RequestStatus
 from repro.serving.scheduler import ContinuousBatchingScheduler, ServingConfig
@@ -82,17 +82,17 @@ class ServingSession:
         session so all sessions (and the merged report) live on a
         single fleet-wide time base even when replica clocks drifted
         apart over earlier serves.
-    hardware_faults:
-        Sub-replica hardware-fault schedule applied to this session's
-        engine at step boundaries (link degradation, disk stalls, GPU
-        stragglers). ``None`` (default) applies nothing — bit-identical
-        to an unfaulted run, which is what the no-fire equivalence
-        tests pin. The fleet passes each replica its
-        :meth:`~repro.hardware.faults.HardwareFaultSchedule.for_replica`
+    faults:
+        Fault schedule whose hardware-kind windows are applied to this
+        session's engine at step boundaries (link degradation, disk
+        stalls, GPU stragglers). ``None`` (default) applies nothing —
+        bit-identical to an unfaulted run, which is what the no-fire
+        equivalence tests pin. The fleet passes each replica its
+        :meth:`~repro.hardware.faults.FaultSchedule.hardware_for`
         slice.
     replica_id:
         Fleet replica index this session serves (0 on a bare engine);
-        selects which faults of ``hardware_faults`` apply and labels
+        selects which faults of ``faults`` apply and labels
         degradation-log events.
     """
 
@@ -103,12 +103,12 @@ class ServingSession:
         requests: Iterable[Request] = (),
         solo: bool | None = None,
         origin: float | None = None,
-        hardware_faults: HardwareFaultSchedule | None = None,
+        faults: FaultSchedule | None = None,
         replica_id: int = 0,
     ) -> None:
         self.engine = engine
         self.config = config or ServingConfig()
-        self.hardware_faults = hardware_faults
+        self.faults = faults
         self.replica_id = replica_id
         self.scheduler = ContinuousBatchingScheduler(self.config)
         # Arrival times are trace-relative; on a warm engine (a second
@@ -387,7 +387,7 @@ class ServingSession:
         every boundary, which is re-costing churn, not a transition
         worth logging.
         """
-        schedule = self.hardware_faults
+        schedule = self.faults
         if schedule is None:
             return
         state = schedule.state_at(now, self.replica_id)

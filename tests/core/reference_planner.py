@@ -335,8 +335,7 @@ class ReferenceScheduler(HybridScheduler):
                     duration = oracle.cpu_compute(
                         loads[candidate], first_task=not cpu_order
                     )
-                    threshold = gpu_finish_estimate() * (1.0 - self.config.steal_margin)
-                    if t_cpu + duration >= threshold:
+                    if t_cpu + duration >= gpu_finish_estimate():
                         cpu_finished = True
                         continue
                     gpu_pool.remove(candidate)

@@ -4,7 +4,7 @@ import pytest
 from reference_planner import ReferenceScheduler
 
 from repro.core.hybrid_scheduler import HybridScheduler, SchedulerConfig
-from repro.core.tasks import SHARED_BLOCK
+from repro.core.tasks import SHARED_BLOCK, LayerCostOracle
 from repro.errors import SchedulingError
 
 # The Fig. 5 scenario: A=0:1, B=1:1, C=2:3 uncached; D=3:4, E=4:1 cached.
@@ -109,6 +109,30 @@ class TestPriorityRules:
         plan = scheduler.plan(0, FIG5_ACTIVATED, FIG5_CACHED, n_tokens=1)
         assert plan.metadata["stolen"] == []
 
+    def test_cpu_wins_tie_when_only_steals_remain(self, tiny_config):
+        # Hand-made tie, no shared block. The GPU runs H=(0, load 4)
+        # over [0, 2]; the CPU runs the uncached U=(1, load 1) over
+        # [0, 2] (1.5 + 0.5 warm-up). At t=2 both are free, the CPU has
+        # no jobs left and the cached L=(2, load 1) waits in the GPU
+        # queue. The CPU must take the tie and steal L (2 + 1.5 beats
+        # the GPU finish of 4): makespan 3.5. Had the GPU popped L
+        # first the layer would end at 4; transferring U ends at 5.
+        from tests.conftest import ToyCostModel
+
+        cost = ToyCostModel(cpu_warmup=0.5)
+
+        def factory(n_tokens):
+            return LayerCostOracle.for_model(cost, tiny_config, n_tokens)
+
+        args = (0, [(0, 4), (1, 1), (2, 1)], {0, 2}, 1)
+        plan = HybridScheduler(factory).plan(*args, include_shared=False)
+        assert plan == ReferenceScheduler(factory).plan(*args, include_shared=False)
+        assert plan.estimated_makespan == 3.5
+        assert plan.transfers == []
+        assert plan.metadata["stolen"] == [2]
+        assert [t.expert for t in plan.cpu_tasks] == [1, 2]
+        assert [t.expert for t in plan.gpu_tasks] == [0]
+
     def test_pcie_backlog_delays_arrivals(self, scheduler):
         fast = scheduler.plan(0, FIG5_ACTIVATED, FIG5_CACHED, 1, pcie_backlog=0.0)
         slow = scheduler.plan(0, FIG5_ACTIVATED, FIG5_CACHED, 1, pcie_backlog=10.0)
@@ -141,8 +165,6 @@ class TestSearch:
         assert 0 in counts and 10 in counts and len(counts) <= 4
 
     def test_invalid_config(self):
-        with pytest.raises(SchedulingError):
-            SchedulerConfig(steal_margin=1.5)
         with pytest.raises(SchedulingError):
             SchedulerConfig(max_search_width=1)
 

@@ -62,15 +62,13 @@ _MODEL = MoEModelConfig(
 )
 
 
-def _scheduler_pair(gpu, cpu, transfer, warmup, steal, margin, width):
+def _scheduler_pair(gpu, cpu, transfer, warmup, steal, width):
     cost = _RandomCost(gpu, cpu, transfer, warmup)
 
     def factory(n_tokens):
         return LayerCostOracle.for_model(cost, _MODEL, n_tokens)
 
-    config = SchedulerConfig(
-        allow_cpu_steal=steal, steal_margin=margin, max_search_width=width
-    )
+    config = SchedulerConfig(allow_cpu_steal=steal, max_search_width=width)
     return HybridScheduler(factory, config), ReferenceScheduler(factory, config)
 
 
@@ -93,7 +91,6 @@ class TestFastPathEquality:
         pcie_backlog=st.floats(0.0, 12.0),
         cpu_backlog=st.floats(0.0, 12.0),
         steal=st.booleans(),
-        margin=st.sampled_from([0.0, 0.1, 0.3]),
         width=st.sampled_from([None, 2, 3, 5]),
         include_shared=st.booleans(),
         n_tokens=st.sampled_from([1, 4, 128]),
@@ -111,16 +108,13 @@ class TestFastPathEquality:
         pcie_backlog,
         cpu_backlog,
         steal,
-        margin,
         width,
         include_shared,
         n_tokens,
     ):
         """The fast search and the reference simulator agree exactly —
         tasks, order, transfers, makespan float and metadata."""
-        fast, reference = _scheduler_pair(
-            gpu, cpu, transfer, warmup, steal, margin, width
-        )
+        fast, reference = _scheduler_pair(gpu, cpu, transfer, warmup, steal, width)
         activated = sorted(loads.items())
         cached = cached_mask & set(loads)
         inflight = {e: t for e, t in inflight_raw.items()}
@@ -151,7 +145,7 @@ class TestFastPathEquality:
     def test_makespans_bit_identical(
         self, loads, cached_mask, gpu, cpu, transfer, quick, cpu_backlog
     ):
-        fast, reference = _scheduler_pair(gpu, cpu, transfer, 0.0, True, 0.0, None)
+        fast, reference = _scheduler_pair(gpu, cpu, transfer, 0.0, True, None)
         activated = sorted(loads.items())
         cached = cached_mask & set(loads)
         mk_fast = fast.simulate_makespan(
@@ -175,7 +169,7 @@ class TestFastPathEquality:
     ):
         """The prefetcher's screening bound never exceeds the exact
         quick makespan (the property that makes screening exact)."""
-        fast, _ = _scheduler_pair(gpu, cpu, transfer, 0.0, True, 0.0, None)
+        fast, _ = _scheduler_pair(gpu, cpu, transfer, 0.0, True, None)
         activated = sorted(loads.items())
         cached = cached_mask & set(loads)
         bound = fast.quick_layer(activated, cached, 4)._bound(None)
@@ -390,24 +384,6 @@ def test_runtime_memoizes_oracles():
     assert runtime.actual_oracle(4) is runtime.actual_oracle(4)
     assert runtime.estimated_oracle(4) is not runtime.estimated_oracle(5)
     assert runtime.estimated_oracle(4) is not runtime.actual_oracle(4)
-
-
-def test_prefetcher_exact_top_m_validation():
-    from repro.core.prefetch import ImpactDrivenPrefetcher
-    from repro.errors import SchedulingError
-
-    cost = _RandomCost(2.0, 1.5, 3.0)
-
-    def factory(n_tokens):
-        return LayerCostOracle.for_model(cost, _MODEL, n_tokens)
-
-    scheduler = HybridScheduler(factory)
-    with pytest.raises(SchedulingError):
-        ImpactDrivenPrefetcher(scheduler, lambda: 1.0, 2, exact_top_m=0)
-    with pytest.raises(SchedulingError):
-        ImpactDrivenPrefetcher(
-            scheduler, lambda: 1.0, 2, exact_top_m=4, delta_screen=False
-        )
 
 
 def test_prefetch_screening_preserves_decisions():

@@ -14,7 +14,7 @@ import pytest
 
 from repro.engine.factory import make_fleet
 from repro.errors import ConfigError
-from repro.hardware.faults import HardwareFault, HardwareFaultSchedule
+from repro.hardware.faults import Fault, FaultSchedule
 from repro.workloads.generator import serving_workload
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "tools"))
@@ -54,16 +54,16 @@ class TestFleetScheduleTransparency:
     def test_unfired_hardware_schedule_bit_identical(self):
         baseline = _fleet(router="cache_affinity").serve_trace(_trace())
         horizon = baseline.merged.last_finish + 50.0
-        schedule = HardwareFaultSchedule(
+        schedule = FaultSchedule(
             [
-                HardwareFault(
+                Fault(
                     kind="gpu_straggler",
                     at_time=horizon,
                     duration=5.0,
                     severity=2.0,
                     replica=0,
                 ),
-                HardwareFault(
+                Fault(
                     kind="link_degrade",
                     at_time=horizon,
                     duration=5.0,
@@ -73,31 +73,31 @@ class TestFleetScheduleTransparency:
             ]
         )
         shadowed = _fleet(
-            router="cache_affinity", hardware_faults=schedule
+            router="cache_affinity", faults=schedule
         ).serve_trace(_trace())
         assert shadowed.merged.requests == baseline.merged.requests
         assert shadowed.decisions == baseline.decisions
         assert shadowed.merged.degradations == []
 
     def test_fault_beyond_pool_rejected(self):
-        schedule = HardwareFaultSchedule(
+        schedule = FaultSchedule(
             [
-                HardwareFault(
+                Fault(
                     kind="disk_stall", at_time=1.0, duration=1.0, replica=5
                 )
             ]
         )
         with pytest.raises(ConfigError, match="replica 5"):
-            _fleet(hardware_faults=schedule)
+            _fleet(faults=schedule)
 
 
 class TestDegradationSteering:
     def test_router_avoids_degraded_replica_in_window(self):
         baseline = _fleet().serve_trace(_trace())
         window = (0.25, baseline.merged.last_finish + 1.0)
-        schedule = HardwareFaultSchedule(
+        schedule = FaultSchedule(
             [
-                HardwareFault(
+                Fault(
                     kind="gpu_straggler",
                     at_time=window[0],
                     duration=window[1] - window[0],
@@ -106,7 +106,7 @@ class TestDegradationSteering:
                 )
             ]
         )
-        report = _fleet(hardware_faults=schedule).serve_trace(_trace())
+        report = _fleet(faults=schedule).serve_trace(_trace())
         assert sorted(r.request_id for r in report.merged.requests) == list(
             range(len(ARRIVALS))
         )
@@ -116,9 +116,9 @@ class TestDegradationSteering:
 
     def test_degraded_replica_readmitted_when_alone(self):
         # Both replicas degraded: steering must not strand requests.
-        schedule = HardwareFaultSchedule(
+        schedule = FaultSchedule(
             [
-                HardwareFault(
+                Fault(
                     kind="gpu_straggler",
                     at_time=0.0,
                     duration=1e6,
@@ -128,7 +128,7 @@ class TestDegradationSteering:
                 for r in (0, 1)
             ]
         )
-        report = _fleet(hardware_faults=schedule).serve_trace(_trace())
+        report = _fleet(faults=schedule).serve_trace(_trace())
         assert report.merged.num_completed == len(ARRIVALS)
 
 

@@ -1,4 +1,4 @@
-"""Hardware fault primitives: validation, composition, cost wrapping."""
+"""Fault primitives: validation, composition, cost wrapping."""
 
 import pytest
 
@@ -8,8 +8,8 @@ from repro.hardware.faults import (
     NEUTRAL_STATE,
     DegradationState,
     DegradedCostModel,
-    HardwareFault,
-    HardwareFaultSchedule,
+    Fault,
+    FaultSchedule,
 )
 from repro.hardware.platform_presets import get_hardware_preset
 from repro.models.config import ExpertShape
@@ -18,14 +18,16 @@ SHAPE = ExpertShape(d_model=64, d_ff=256)
 
 
 def _fault(**overrides):
-    fields = dict(kind="link_degrade", at_time=1.0, duration=2.0, severity=0.5)
+    fields = dict(
+        kind="link_degrade", replica=0, at_time=1.0, duration=2.0, severity=0.5
+    )
     fields.update(overrides)
-    return HardwareFault(**fields)
+    return Fault(**fields)
 
 
 class TestHardwareFaultValidation:
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigError, match="unknown hardware fault kind"):
+        with pytest.raises(ConfigError, match="unknown fault kind"):
             _fault(kind="power_loss")
 
     def test_negative_replica_and_time_rejected(self):
@@ -48,7 +50,7 @@ class TestHardwareFaultValidation:
             _fault(kind="gpu_straggler", severity=0.9)
 
     def test_disk_stall_rejects_severity(self):
-        with pytest.raises(ConfigError, match="ignores severity"):
+        with pytest.raises(ConfigError, match="take no severity"):
             _fault(kind="disk_stall", severity=0.5)
 
     def test_window_containment(self):
@@ -62,18 +64,18 @@ class TestHardwareFaultValidation:
 class TestScheduleValidation:
     def test_overlapping_same_kind_same_replica_rejected(self):
         with pytest.raises(ConfigError, match="overlapping"):
-            HardwareFaultSchedule([_fault(), _fault(at_time=2.5)])
+            FaultSchedule([_fault(), _fault(at_time=2.5)])
 
     def test_exact_duplicate_rejected(self):
         with pytest.raises(ConfigError, match="overlapping"):
-            HardwareFaultSchedule([_fault(), _fault()])
+            FaultSchedule([_fault(), _fault()])
 
     def test_same_kind_different_replicas_allowed(self):
-        schedule = HardwareFaultSchedule([_fault(), _fault(replica=1)])
+        schedule = FaultSchedule([_fault(), _fault(replica=1)])
         assert len(schedule) == 2
 
     def test_different_kinds_may_overlap(self):
-        schedule = HardwareFaultSchedule(
+        schedule = FaultSchedule(
             [
                 _fault(),
                 _fault(kind="gpu_straggler", severity=2.0),
@@ -84,26 +86,44 @@ class TestScheduleValidation:
 
     def test_back_to_back_windows_allowed(self):
         # [1, 3) then [3, 4): touching endpoints do not overlap.
-        schedule = HardwareFaultSchedule(
+        schedule = FaultSchedule(
             [_fault(), _fault(at_time=3.0, duration=1.0)]
         )
         assert len(schedule) == 2
 
-    def test_for_replica_slices_preserving_ids(self):
-        schedule = HardwareFaultSchedule([_fault(), _fault(replica=2)])
-        sliced = schedule.for_replica(2)
-        assert [f.replica for f in sliced] == [2]
+    def test_hardware_for_slices_preserving_ids(self):
+        slow = Fault("slow", 2, at_time=1.0, duration=1.0)
+        schedule = FaultSchedule([_fault(), _fault(replica=2), slow])
+        sliced = schedule.hardware_for(2)
+        assert [(f.kind, f.replica) for f in sliced] == [("link_degrade", 2)]
+        # A replica with no hardware faults gets None: its session then
+        # skips degradation bookkeeping entirely.
+        assert FaultSchedule([slow]).hardware_for(2) is None
+
+    def test_families_validate_independently(self):
+        # A slow window overlapping a same-replica hardware window, and
+        # two crashes on different replicas, are all legal together.
+        schedule = FaultSchedule(
+            [
+                _fault(),
+                Fault("slow", 0, at_time=1.5, duration=1.0),
+                Fault("crash", 0, at_time=2.0),
+                Fault("crash", 1, at_time=2.0),
+            ]
+        )
+        assert len(schedule) == 4
+        assert [f.replica for f in schedule.crashes()] == [0, 1]
 
 
 class TestStateComposition:
     def test_neutral_outside_every_window(self):
-        schedule = HardwareFaultSchedule([_fault()])
+        schedule = FaultSchedule([_fault()])
         assert schedule.state_at(0.0) is NEUTRAL_STATE
         assert schedule.state_at(10.0) is NEUTRAL_STATE
         assert not schedule.degraded(0, 0.0)
 
     def test_slowdowns_multiply_across_kinds(self):
-        schedule = HardwareFaultSchedule(
+        schedule = FaultSchedule(
             [
                 _fault(severity=0.5),
                 _fault(kind="gpu_straggler", severity=3.0),
@@ -114,14 +134,27 @@ class TestStateComposition:
         assert state.gpu_slowdown == pytest.approx(3.0)
 
     def test_disk_stall_charges_remaining_window(self):
-        schedule = HardwareFaultSchedule(
+        schedule = FaultSchedule(
             [_fault(kind="disk_stall", severity=1.0)]
         )
         assert schedule.state_at(1.0).disk_stall_s == pytest.approx(2.0)
         assert schedule.state_at(2.5).disk_stall_s == pytest.approx(0.5)
 
+    def test_queries_split_by_family(self):
+        # Slow windows are routing blackouts, not degradation: they
+        # never reach the cost models or the degradation log. Hardware
+        # windows never black a replica out of routing.
+        slow = Fault("slow", 0, at_time=1.0, duration=2.0)
+        schedule = FaultSchedule([slow, _fault(replica=1)])
+        assert schedule.blacked_out(0, 1.5)
+        assert not schedule.blacked_out(1, 1.5)
+        assert not schedule.degraded(0, 1.5)
+        assert schedule.active_faults(0, 1.5) == ()
+        assert schedule.state_at(1.5, replica=0) is NEUTRAL_STATE
+        assert schedule.degraded(1, 1.5)
+
     def test_other_replica_sees_neutral(self):
-        schedule = HardwareFaultSchedule([_fault(replica=1)])
+        schedule = FaultSchedule([_fault(replica=1)])
         assert schedule.state_at(1.5, replica=0) is NEUTRAL_STATE
         assert schedule.degraded(1, 1.5)
         assert not schedule.degraded(0, 1.5)

@@ -1,7 +1,7 @@
 """Degraded-mode serving: schedule transparency, timeouts, shedding.
 
 The transparency suite is the acceptance criterion of the sub-replica
-fault work: a :class:`~repro.hardware.faults.HardwareFaultSchedule`
+fault work: a :class:`~repro.hardware.faults.FaultSchedule`
 whose windows never cover the run must leave the serving report
 **bit-identical** to running with no schedule at all — for every
 strategy. The degradation
@@ -14,7 +14,7 @@ import pytest
 
 from repro.engine.factory import make_serving_engine
 from repro.errors import ConfigError
-from repro.hardware.faults import HardwareFault, HardwareFaultSchedule
+from repro.hardware.faults import Fault, FaultSchedule
 from repro.serving import ServingConfig
 from repro.serving.request import Request
 from repro.serving.session import _remove_by_identity
@@ -52,14 +52,13 @@ def _trace(priority_mix=None, arrivals=ARRIVALS):
 def _far_schedule(last_finish):
     """All three fault kinds, every window past the end of the run."""
     horizon = last_finish + 50.0
-    return HardwareFaultSchedule(
+    return FaultSchedule(
         [
-            HardwareFault(
-                kind="link_degrade", at_time=horizon, duration=5.0, severity=0.5
-            ),
-            HardwareFault(kind="disk_stall", at_time=horizon, duration=5.0),
-            HardwareFault(
+            Fault("link_degrade", 0, at_time=horizon, duration=5.0, severity=0.5),
+            Fault("disk_stall", 0, at_time=horizon, duration=5.0),
+            Fault(
                 kind="gpu_straggler",
+                replica=0,
                 at_time=horizon,
                 duration=5.0,
                 severity=2.0,
@@ -73,7 +72,7 @@ class TestScheduleTransparency:
     def test_unfired_schedule_bit_identical(self, strategy):
         baseline = _engine(strategy).serve_trace(_trace())
         schedule = _far_schedule(baseline.last_finish)
-        shadowed = _engine(strategy, hardware_faults=schedule).serve_trace(_trace())
+        shadowed = _engine(strategy, faults=schedule).serve_trace(_trace())
         assert shadowed.requests == baseline.requests
         assert shadowed.degradations == []
         assert shadowed.total_hits == baseline.total_hits
@@ -81,17 +80,18 @@ class TestScheduleTransparency:
 
     def test_fired_schedule_slows_and_logs(self):
         baseline = _engine().serve_trace(_trace())
-        schedule = HardwareFaultSchedule(
+        schedule = FaultSchedule(
             [
-                HardwareFault(
+                Fault(
                     kind="gpu_straggler",
+                    replica=0,
                     at_time=0.0,
                     duration=baseline.last_finish + 1.0,
                     severity=4.0,
                 )
             ]
         )
-        degraded = _engine(hardware_faults=schedule).serve_trace(_trace())
+        degraded = _engine(faults=schedule).serve_trace(_trace())
         assert degraded.last_finish > baseline.last_finish
         # Entry into the window is logged with the non-neutral state.
         assert degraded.degradations
@@ -100,19 +100,28 @@ class TestScheduleTransparency:
     def test_recovery_is_logged(self):
         baseline = _engine().serve_trace(_trace())
         window = baseline.makespan / 4
-        schedule = HardwareFaultSchedule(
+        schedule = FaultSchedule(
             [
-                HardwareFault(
+                Fault(
                     kind="gpu_straggler",
+                    replica=0,
                     at_time=0.0,
                     duration=window,
                     severity=4.0,
                 )
             ]
         )
-        degraded = _engine(hardware_faults=schedule).serve_trace(_trace())
+        degraded = _engine(faults=schedule).serve_trace(_trace())
         assert len(degraded.degradations) >= 2
         assert degraded.degradations[-1].state.is_neutral
+
+    @pytest.mark.parametrize("kind,duration", [("crash", 0.0), ("slow", 1.0)])
+    def test_replica_kinds_rejected(self, kind, duration):
+        # Crashes and blackouts act on fleet routing; a bare engine has
+        # no survivor to fail over to, so it refuses them outright.
+        schedule = FaultSchedule([Fault(kind, 0, 1.0, duration)])
+        with pytest.raises(ConfigError, match="through a fleet"):
+            _engine(faults=schedule)
 
 
 class TestRequestTimeouts:

@@ -272,6 +272,12 @@ class TestServeValidation:
         err = self._error(capsys, "--fault-spec", "crash:0")
         assert "bad --fault-spec" in err
 
+    def test_fault_fields_validated_per_kind(self, capsys):
+        err = self._error(
+            capsys, "--replicas", "2", "--fault-spec", "crash:0:1.0:2.0"
+        )
+        assert "crash faults take no duration" in err
+
     def test_malformed_shed_rejected(self, capsys):
         err = self._error(capsys, "--shed", "many")
         assert "bad --shed" in err
